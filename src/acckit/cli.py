@@ -43,10 +43,8 @@ def _read_input(path: str) -> str:
 
 def _detect_structure(text: str) -> IncidenceStructure:
     """Parse .acc directly; expand .wedge input on the fly."""
-    for _, line in formats._significant_lines(text):
-        if line.startswith("wedge"):
-            return expand(formats.parse_wedge(text)).structure
-        break
+    if formats.sniff_format(text) == "wedge":
+        return expand(formats.parse_wedge(text)).structure
     return formats.parse_structure(text)
 
 

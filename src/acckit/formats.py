@@ -41,6 +41,14 @@ def _significant_lines(text: str):
         yield number, line
 
 
+def sniff_format(text: str) -> str:
+    """Name the format of text: "wedge" when its first significant line
+    starts with 'wedge', otherwise "acc"."""
+    for _, line in _significant_lines(text):
+        return "wedge" if line.startswith("wedge") else "acc"
+    return "acc"
+
+
 def parse_structure(text: str) -> IncidenceStructure:
     lines = list(_significant_lines(text))
     if not lines:

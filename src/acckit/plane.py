@@ -83,13 +83,32 @@ def structure_from_lines(
     if len(ids) < 2:
         raise ValueError(f"need at least 2 distinct lines, got {len(ids)}")
 
-    chosen = [plane.lines[i] for i in ids]
-    vertices = []
-    for point in plane.points:
-        members = [i for i, line in enumerate(chosen) if plane.incident(point, line)]
-        if len(members) >= 2:
-            vertices.append(tuple(members))
+    index = {point: i for i, point in enumerate(plane.points)}
+    members: list[list[int]] = [[] for _ in plane.points]
+    for curve, line_id in enumerate(ids):
+        for point in _points_on(plane.lines[line_id], plane.p):
+            members[index[point]].append(curve)
+    vertices = [tuple(curves) for curves in members if len(curves) >= 2]
     return IncidenceStructure(1, len(ids), vertices)
+
+
+def _points_on(line: Triple, p: int):
+    """The p+1 normalized points on a line, by solving a*x + b*y + c*z = 0."""
+    a, b, c = line
+    if b:
+        inv = pow(b, -1, p)
+        for x in range(p):
+            yield (x, -(a * x + c) * inv % p, 1)
+    elif a:
+        x = -c * pow(a, -1, p) % p
+        for y in range(p):
+            yield (x, y, 1)
+    if a:
+        yield (-b * pow(a, -1, p) % p, 1, 0)
+    else:
+        if not b:
+            yield from ((x, 1, 0) for x in range(p))
+        yield (1, 0, 0)
 
 
 def splitmix64(seed: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
 
-from .wedge import WedgeSpec, _Expansion
+from .wedge import WedgeSpec, expand
 
 
 def _attr(value: str) -> str:
@@ -127,8 +127,7 @@ def render_wedge(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
 def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
     """The full expansion: every pseudoline as one polyline, the line at
     infinity as the bounding circle (drawn as a closed polyline)."""
-    expansion = _Expansion(spec)
-    expansion.arrangement()  # fail exactly as expand() would before drawing
+    arrangement = expand(spec)
     m = spec.m
     base = float(opts.radius_base)
     ranks = {e.rank for beam in spec.beams for e in beam.events}
@@ -175,7 +174,7 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
         )
 
     beam_index = {beam.name: bi for bi, beam in enumerate(spec.beams)}
-    for name, copy, waypoints in expansion.paths():
+    for name, copy, waypoints in arrangement.paths:
         pts = []
         for kind, a, b in waypoints:
             if kind == "ideal":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Union
 
 
@@ -33,6 +33,9 @@ class IncidenceStructure:
     alpha: int
     n: int
     vertices: tuple[tuple[int, ...], ...]
+    # The ValidationReport once validate() has run; not a field, so it stays
+    # out of ==, hash and repr.
+    _report = None
 
     def __init__(self, alpha: int, n: int, vertices: Iterable[Iterable[int]]):
         if alpha < 1:
@@ -119,47 +122,59 @@ def validate(s: IncidenceStructure) -> ValidationReport:
     """Check every structure axiom and report all violations found.
 
     Violations are data, not errors; the report is deterministic for a given
-    input.  Requires n >= 2 since pair multiplicity is meaningless below
-    that.
+    input and lists small vertices, duplicate vertices, unused curves, pair
+    multiplicities (by i, then j > i) and disconnection, in that order.
+    Requires n >= 2 since pair multiplicity is meaningless below that.
+
+    The pair check is one pass per curve i: counting the ids of the vertices
+    on i gives, for every other curve j, how many vertices i and j share.
+    Only a row that is not all alpha is walked to list its pairs.  When every
+    pair shares alpha >= 1 vertices, any two curves meet, so the membership
+    graph is connected and the component count is skipped.
+
+    The structure is immutable, so its report is computed once and kept on
+    it; later calls return the same report.
     """
+    if s._report is not None:
+        return s._report
     if s.n < 2:
         raise ValueError(f"validation requires at least 2 curves, got {s.n}")
 
-    violations: list[Violation] = []
+    n, alpha, vertices = s.n, s.alpha, s.vertices
+    violations: list[Violation] = [SmallVertex(i) for i, v in enumerate(vertices) if len(v) < 2]
 
-    for index, vertex in enumerate(s.vertices):
-        if len(vertex) < 2:
-            violations.append(SmallVertex(index))
+    if len(set(vertices)) != len(vertices):
+        seen: dict[tuple[int, ...], int] = {}
+        for index, vertex in enumerate(vertices):
+            first = seen.setdefault(vertex, index)
+            if first != index:
+                violations.append(DuplicateVertex((first, index)))
 
-    seen: dict[tuple[int, ...], int] = {}
-    for index, vertex in enumerate(s.vertices):
-        if vertex in seen:
-            violations.append(DuplicateVertex((seen[vertex], index)))
-        else:
-            seen[vertex] = index
+    on: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for vertex in vertices:
+        for cid in vertex:
+            on[cid].append(vertex)
+    violations.extend(UnusedCurve(cid) for cid in range(n) if not on[cid])
 
-    used: set[int] = set()
-    for vertex in s.vertices:
-        used.update(vertex)
-    for cid in range(s.n):
-        if cid not in used:
-            violations.append(UnusedCurve(cid))
-
-    pair_counts: Counter[tuple[int, int]] = Counter()
-    for vertex in s.vertices:
-        for pair in combinations(vertex, 2):
-            pair_counts[pair] += 1
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            observed = pair_counts.get((i, j), 0)
-            if observed != s.alpha:
+    pairs_hold = True
+    for i in range(n):
+        row = Counter(chain.from_iterable(on[i]))
+        if list(row.values()).count(alpha) - (row[i] == alpha) == n - 1:
+            continue
+        pairs_hold = False
+        for j in range(i + 1, n):
+            observed = row.get(j, 0)
+            if observed != alpha:
                 violations.append(PairMultiplicity((i, j), observed))
 
-    components = _component_count(s)
-    if components > 1:
-        violations.append(Disconnected(components))
+    if not pairs_hold:
+        components = _component_count(s)
+        if components > 1:
+            violations.append(Disconnected(components))
 
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    report = ValidationReport(valid=not violations, violations=tuple(violations))
+    object.__setattr__(s, "_report", report)
+    return report
 
 
 def _component_count(s: IncidenceStructure) -> int:
@@ -219,34 +234,35 @@ class Stats:
 def compute_stats(s: IncidenceStructure) -> Stats:
     """Compute tk, r, degree sequences, and the pair-minimum-degree profile.
 
-    Rejects invalid structures with :class:`InvalidStructureError`.
+    Rejects invalid structures with :class:`InvalidStructureError`.  For
+    alpha = 1 each pair lies in exactly one vertex, so l_d has the closed
+    form t_d * C(d, 2); larger alpha takes the minimum over each pair's
+    vertices.
     """
     report = validate(s)
     if not report.valid:
         raise InvalidStructureError(report)
 
-    vertex_degrees = tuple(len(v) for v in s.vertices)
-    curve_degrees = [0] * s.n
-    for vertex in s.vertices:
-        for cid in vertex:
-            curve_degrees[cid] += 1
-
+    vertex_degrees = tuple(map(len, s.vertices))
+    incidences = Counter(chain.from_iterable(s.vertices))
+    curve_degrees = tuple(incidences[cid] for cid in range(s.n))
     tk: Counter[int] = Counter(vertex_degrees)
 
-    # Minimum common-vertex degree per pair: one pass over vertices, since
-    # each pair occurs in exactly alpha of them.
-    pair_min: dict[tuple[int, int], int] = {}
-    for vertex, degree in zip(s.vertices, vertex_degrees):
-        for pair in combinations(vertex, 2):
-            prev = pair_min.get(pair)
-            if prev is None or degree < prev:
-                pair_min[pair] = degree
-    ld: Counter[int] = Counter(pair_min.values())
+    if s.alpha == 1:
+        ld = {d: count * math.comb(d, 2) for d, count in tk.items()}
+    else:
+        pair_min: dict[tuple[int, int], int] = {}
+        for vertex, degree in zip(s.vertices, vertex_degrees):
+            for pair in combinations(vertex, 2):
+                prev = pair_min.get(pair)
+                if prev is None or degree < prev:
+                    pair_min[pair] = degree
+        ld = Counter(pair_min.values())
 
     return Stats(
         tk=dict(sorted(tk.items())),
         r=max(curve_degrees),
-        curve_degrees=tuple(curve_degrees),
+        curve_degrees=curve_degrees,
         vertex_degrees=vertex_degrees,
         ld=dict(sorted(ld.items())),
     )

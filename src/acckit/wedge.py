@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .structure import IncidenceStructure, ValidationReport, validate
 
@@ -138,19 +139,27 @@ class Ideal:
 LineLabel = Mirror | BeamCopy | LineAtInfinity
 VertexLabel = Apex | Bounce | Crossing | Ideal
 
+# ("ideal", ray, 0) or ("bounce", ray, rank); a copy's path is
+# (beam name, copy index, waypoints from one ideal end to the other).
+Waypoint = tuple[str, int, int]
+CopyPath = tuple[str, int, tuple[Waypoint, ...]]
+
 
 @dataclass(frozen=True)
 class ExpandedArrangement:
     """Expansion result: the incidence structure plus provenance labels.
 
     line_labels[i] describes curve id i; vertex_labels[j] describes
-    structure.vertices[j].  The structure always passes validation with
-    alpha = 1; expansion raises instead of returning anything weaker.
+    structure.vertices[j].  paths holds every beam copy's boundary
+    traversal in curve id order, for the renderer.  The structure always
+    passes validation with alpha = 1; expansion raises instead of returning
+    anything weaker.
     """
 
     structure: IncidenceStructure
     line_labels: tuple[LineLabel, ...]
     vertex_labels: tuple[VertexLabel, ...]
+    paths: tuple[CopyPath, ...]
 
     @property
     def m(self) -> int:
@@ -206,128 +215,74 @@ class ValidationFailed(ExpansionError):
 class _Expansion:
     """Shared machinery behind expand() and wedge_paths().
 
-    Beam segment s in wedge image w is the atom (beam, w, s); pseudolines are
-    the connected components of the gluing graph over atoms.
+    Beam segment s in wedge image w is the atom (beam, w, s).  Bouncing off
+    an edge reflects the wedge index across that edge's ray: a top bounce
+    maps w to w ^ 1, a bottom bounce maps w to w - 1 for even w and to w + 1
+    for odd w (mod 2m).  A pseudoline copy is therefore one walk: from an
+    entry segment (s = 0) forward through the beam's bounces, reflected at
+    the terminating bounce, and back through the same bounces to a second
+    entry segment.  Each walk covers 2t of the beam's 2m * t atoms, so every
+    beam has m copies, numbered by their lowest entry wedge.  The walk
+    records each atom's curve id and each copy's waypoints as it goes.
     """
 
     def __init__(self, spec: WedgeSpec):
         self.spec = spec
         self.m = spec.m
-        self.nw = 2 * spec.m
-        self.sizes = [len(b.events) for b in spec.beams]
-        self.offsets: list[int] = []
-        total = 0
-        for size in self.sizes:
-            self.offsets.append(total)
-            total += self.nw * size
-        self.parent = list(range(total))
-        # One entry per glue: (atom_a, atom_b, ray, rank, terminating).
-        self.glues: list[tuple[int, int, int, int, bool]] = []
-        self._build_glues()
-        self._collect_components()
+        self.nw = nw = 2 * spec.m
+        # across[side][w] = (ray, wedge beyond it) for wedge w's top or
+        # bottom edge.
+        self.across = {
+            TOP: [(w | 1, w ^ 1) for w in range(nw)],
+            BOTTOM: [(w, (w - 1) % nw) if w % 2 == 0 else ((w + 1) % nw, (w + 1) % nw) for w in range(nw)],
+        }
+        self._walk()
         self._find_crossings()
 
-    # Ray geometry (purely combinatorial).
+    def _walk(self):
+        """Number every beam copy, check closure, and record its waypoints.
 
-    def bottom_ray(self, w: int) -> int:
-        return w if w % 2 == 0 else (w + 1) % self.nw
-
-    def top_ray(self, w: int) -> int:
-        return (w + 1) % self.nw if w % 2 == 0 else w
-
-    def ray_of(self, w: int, side: str) -> int:
-        return self.top_ray(w) if side == TOP else self.bottom_ray(w)
-
-    def across(self, w: int, ray: int) -> int:
-        """The wedge on the other side of one of w's boundary rays."""
-        if ray == w:
-            return (w - 1) % self.nw
-        if ray == (w + 1) % self.nw:
-            return (w + 1) % self.nw
-        raise AssertionError(f"ray {ray} does not bound wedge {w}")
-
-    def atom(self, bi: int, w: int, s: int) -> int:
-        return self.offsets[bi] + w * self.sizes[bi] + s
-
-    # Union-find.
-
-    def _find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def _union(self, a: int, b: int):
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def _build_glues(self):
-        for bi, beam in enumerate(self.spec.beams):
-            t = self.sizes[bi]
-            for i, event in enumerate(beam.events, start=1):
-                if i < t:
-                    for w in range(self.nw):
-                        ray = self.ray_of(w, event.side)
-                        w2 = self.across(w, ray)
-                        self.glues.append(
-                            (self.atom(bi, w, i - 1), self.atom(bi, w2, i), ray, event.rank, False)
-                        )
-                else:
-                    # Terminating bounce: the retrace is the mirror image, so
-                    # the last segment glues to its own reflection across the
-                    # terminating ray.  Each unordered wedge pair once.
-                    seen: set[tuple[int, int]] = set()
-                    for w in range(self.nw):
-                        ray = self.ray_of(w, event.side)
-                        w2 = self.across(w, ray)
-                        key = (min(w, w2), max(w, w2))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        self.glues.append(
-                            (self.atom(bi, w, t - 1), self.atom(bi, w2, t - 1), ray, event.rank, True)
-                        )
-        for a, b, _, _, _ in self.glues:
-            self._union(a, b)
-
-    def _collect_components(self):
-        """Group per-beam components, check closure, assign curve ids.
-
-        Every component is a path whose two loose ends are entry segments
-        (s = 0); the entry runs parallel to the wedge's bottom edge and so
-        reaches infinity at the bottom mirror's ideal point.  Both ends must
-        land on the same mirror or the curve fails to close projectively.
+        Both loose ends of a copy are entry segments, which run parallel to
+        the wedge's bottom edge and so reach infinity at the bottom mirror's
+        ideal point.  Both ends must land on the same mirror or the curve
+        fails to close projectively.
         """
-        self.component_ends: dict[int, list[int]] = {}
-        for bi in range(len(self.spec.beams)):
-            for w in range(self.nw):
-                root = self._find(self.atom(bi, w, 0))
-                self.component_ends.setdefault(root, []).append(w)
-
-        self.root_to_curve: dict[int, int] = {}
-        self.root_ideal: dict[int, int] = {}
-        self.copy_counts: list[int] = []
-        next_id = self.m
-        for bi, beam in enumerate(self.spec.beams):
-            roots = sorted(
-                {self._find(self.atom(bi, w, 0)) for w in range(self.nw)},
-                key=lambda r: min(self.component_ends[r]),
-            )
-            self.copy_counts.append(len(roots))
-            for copy, root in enumerate(roots):
-                ends = self.component_ends[root]
-                mirrors = sorted({self.bottom_ray(w) % self.m for w in ends})
-                if len(mirrors) != 1:
-                    raise NonClosingBeam(beam.name, (mirrors[0], mirrors[-1]))
-                self.root_to_curve[root] = next_id
-                self.root_ideal[root] = mirrors[0]
+        m, bottom = self.m, self.across[BOTTOM]
+        # curves[bi][w * t + s] is the curve id of atom (bi, w, s).
+        self.curves: list[list[int]] = []
+        self.ideal_members: list[list[int]] = [[] for _ in range(m)]
+        self.paths: list[CopyPath] = []
+        next_id = m
+        for beam in self.spec.beams:
+            t = len(beam.events)
+            steps = [(self.across[event.side], event.rank) for event in beam.events]
+            # (segment, bounce ending it): out through every bounce, then
+            # back from the terminating one.
+            route = [(s, *steps[s]) for s in range(t)]
+            route += [(s, *steps[s - 1]) for s in range(t - 1, 0, -1)]
+            curve = [0] * (self.nw * t)
+            copy = 0
+            for start in range(self.nw):
+                if curve[start * t]:
+                    continue
+                w = start
+                waypoints: list[Waypoint] = [("ideal", bottom[start][0], 0)]
+                for s, across, rank in route:
+                    curve[w * t + s] = next_id
+                    ray, w = across[w]
+                    waypoints.append(("bounce", ray, rank))
+                curve[w * t] = next_id
+                waypoints.append(("ideal", bottom[w][0], 0))
+                mirror, other = bottom[start][0] % m, bottom[w][0] % m
+                if mirror != other:
+                    raise NonClosingBeam(beam.name, (min(mirror, other), max(mirror, other)))
+                self.ideal_members[mirror].append(next_id)
+                self.paths.append((beam.name, copy, tuple(waypoints)))
                 next_id += 1
+                copy += 1
+            self.curves.append(curve)
         self.infinity_id = next_id
         self.n = next_id + 1
-
-    def curve_of(self, bi: int, w: int, s: int) -> int:
-        return self.root_to_curve[self._find(self.atom(bi, w, s))]
 
     def _find_crossings(self):
         """Interleaving segment pairs inside the fundamental wedge.
@@ -342,6 +297,7 @@ class _Expansion:
         for beam in self.spec.beams:
             for event in beam.events:
                 (top_ranks if event.side == TOP else bottom_ranks).add(event.rank)
+        self.ranks = {TOP: sorted(top_ranks), BOTTOM: sorted(bottom_ranks)}
 
         position: dict[object, int] = {}
         index = 0
@@ -359,7 +315,7 @@ class _Expansion:
 
         chords: list[tuple[int, int, int, int]] = []  # (beam, segment, posA, posB)
         for bi, beam in enumerate(self.spec.beams):
-            for s in range(self.sizes[bi]):
+            for s in range(len(beam.events)):
                 start = position["bottom-ideal"] if s == 0 else position[beam.events[s - 1].key]
                 end = position[beam.events[s].key]
                 chords.append((bi, s, start, end))
@@ -375,37 +331,42 @@ class _Expansion:
 
     def arrangement(self) -> ExpandedArrangement:
         m, nw = self.m, self.nw
+        beams = self.spec.beams
+        sizes = [len(beam.events) for beam in beams]
 
         line_labels: list[LineLabel] = [Mirror(i) for i in range(m)]
-        for bi, beam in enumerate(self.spec.beams):
-            for copy in range(self.copy_counts[bi]):
-                line_labels.append(BeamCopy(beam.name, copy))
+        for beam in beams:
+            line_labels.extend(BeamCopy(beam.name, copy) for copy in range(m))
         line_labels.append(LineAtInfinity())
 
-        records: list[tuple[tuple[int, ...], VertexLabel]] = []
-        records.append((tuple(range(m)), Apex()))
+        records: list[tuple[tuple[int, ...], VertexLabel]] = [(tuple(range(m)), Apex())]
 
-        bounce_members: dict[tuple[int, int], set[int]] = {}
-        for a, b, ray, rank, _ in self.glues:
-            curve = self.root_to_curve[self._find(a)]
-            bounce_members.setdefault((ray, rank), set()).add(curve)
-        for (ray, rank), members in sorted(bounce_members.items()):
-            ids = sorted(members | {ray % m})
-            records.append((tuple(ids), Bounce(ray, rank)))
+        # The bounce vertex at (ray, rank) holds the mirror through the ray
+        # and, for every beam bouncing at that (side, rank), the copies
+        # meeting there from the two wedges the ray separates.  Mirror ids
+        # sort before every copy id.
+        bouncing: dict[tuple[str, int], list[tuple[list[int], int, int]]] = {}
+        for curve, t, beam in zip(self.curves, sizes, beams):
+            for s, event in enumerate(beam.events):
+                bouncing.setdefault(event.key, []).append((curve, t, s))
+        for ray in range(nw):
+            side = TOP if ray % 2 else BOTTOM
+            left = (ray - 1) % nw
+            for rank in self.ranks[side]:
+                copies = {curve[w * t + s] for curve, t, s in bouncing[side, rank] for w in (ray, left)}
+                records.append(((ray % m, *sorted(copies)), Bounce(ray, rank)))
 
-        ideal_members: dict[int, set[int]] = {i: set() for i in range(m)}
-        for root, curve in self.root_to_curve.items():
-            ideal_members[self.root_ideal[root]].add(curve)
-        for mi in range(m):
-            ids = sorted(ideal_members[mi] | {mi, self.infinity_id})
-            records.append((tuple(ids), Ideal(mi)))
+        for mi, members in enumerate(self.ideal_members):
+            records.append(((mi, *members, self.infinity_id), Ideal(mi)))
 
         for w in range(nw):
+            label = Crossing(w)
             for b1, s1, b2, s2 in self.crossing_pairs:
-                ids = sorted({self.curve_of(b1, w, s1), self.curve_of(b2, w, s2)})
-                records.append((tuple(ids), Crossing(w)))
+                a = self.curves[b1][w * sizes[b1] + s1]
+                b = self.curves[b2][w * sizes[b2] + s2]
+                records.append((tuple(sorted({a, b})), label))
 
-        records.sort(key=lambda rec: rec[0])
+        records.sort(key=itemgetter(0))
         structure = IncidenceStructure(1, self.n, [ids for ids, _ in records])
         report = validate(structure)
         if not report.valid:
@@ -414,48 +375,8 @@ class _Expansion:
             structure=structure,
             line_labels=tuple(line_labels),
             vertex_labels=tuple(label for _, label in records),
+            paths=tuple(self.paths),
         )
-
-    def paths(self) -> list[tuple[str, int, list[tuple[str, int, int]]]]:
-        """Ordered boundary traversal of every pseudoline copy.
-
-        Returns (beam name, copy index, waypoints); each waypoint is
-        ("ideal", entry ray, 0) or ("bounce", ray, rank) in traversal order
-        from one ideal end to the other.  Used by the renderer.
-        """
-        adjacency: dict[int, list[tuple[int, int, int, int]]] = {}
-        for gi, (a, b, ray, rank, _) in enumerate(self.glues):
-            adjacency.setdefault(a, []).append((gi, b, ray, rank))
-            adjacency.setdefault(b, []).append((gi, a, ray, rank))
-
-        result = []
-        for bi, beam in enumerate(self.spec.beams):
-            roots = sorted(
-                {self._find(self.atom(bi, w, 0)) for w in range(self.nw)},
-                key=lambda r: min(self.component_ends[r]),
-            )
-            for copy, root in enumerate(roots):
-                w_start, w_end = sorted(self.component_ends[root])[:2]
-                waypoints: list[tuple[str, int, int]] = [
-                    ("ideal", self.bottom_ray(w_start), 0)
-                ]
-                current = self.atom(bi, w_start, 0)
-                used_glues: set[int] = set()
-                while True:
-                    step = None
-                    for gi, other, ray, rank in adjacency.get(current, []):
-                        if gi not in used_glues:
-                            step = (gi, other, ray, rank)
-                            break
-                    if step is None:
-                        break
-                    gi, other, ray, rank = step
-                    used_glues.add(gi)
-                    waypoints.append(("bounce", ray, rank))
-                    current = other
-                waypoints.append(("ideal", self.bottom_ray(w_end), 0))
-                result.append((beam.name, copy, waypoints))
-        return result
 
 
 def _interleave(a1: int, a2: int, b1: int, b2: int, size: int) -> bool:
@@ -479,6 +400,9 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     return _Expansion(spec).arrangement()
 
 
-def wedge_paths(spec: WedgeSpec) -> list[tuple[str, int, list[tuple[str, int, int]]]]:
-    """Boundary traversals of each expanded pseudoline copy (see _Expansion.paths)."""
-    return _Expansion(spec).paths()
+def wedge_paths(spec: WedgeSpec) -> list[tuple[str, int, list[Waypoint]]]:
+    """Boundary traversals of each pseudoline copy, as in
+    ExpandedArrangement.paths but with waypoint lists.  Raises the walk's
+    errors (NonClosingBeam, SelfCrossingBeam) without validating the
+    assembled structure."""
+    return [(name, copy, list(waypoints)) for name, copy, waypoints in _Expansion(spec).paths]

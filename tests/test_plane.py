@@ -12,6 +12,7 @@ import pytest
 
 from acckit import (
     DuplicateLineId,
+    IncidenceStructure,
     NotPrime,
     compute_stats,
     pg2,
@@ -175,3 +176,28 @@ def test_sampled_structures_validate():
     s = structure_from_lines(plane, ids)
     assert validate(s).valid
     assert s.alpha == 1
+
+
+def point_scan_structure(plane, ids):
+    """Reference: test every plane point against every chosen line."""
+    chosen = [plane.lines[i] for i in ids]
+    vertices = []
+    for point in plane.points:
+        members = [i for i, line in enumerate(chosen) if plane.incident(point, line)]
+        if len(members) >= 2:
+            vertices.append(tuple(members))
+    return IncidenceStructure(1, len(ids), vertices)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_per_line_enumeration_matches_point_scan(p):
+    plane = pg2(p)
+    count = len(plane.lines)
+    choices = [tuple(range(count)), tuple(reversed(range(count)))]
+    for seed in range(4):
+        for n in (2, 3, count // 2, count - 1):
+            ids = sample_lines(plane, n, seed)
+            choices += [ids, ids[::-1]]
+    for ids in choices:
+        # Equality compares the vertex tuples in order.
+        assert structure_from_lines(plane, ids) == point_scan_structure(plane, ids)

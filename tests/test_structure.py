@@ -1,8 +1,12 @@
 """Data model, validation, and statistics tests."""
 
 import math
+from collections import Counter, deque
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acckit import (
     Disconnected,
@@ -12,7 +16,12 @@ from acckit import (
     PairMultiplicity,
     SmallVertex,
     UnusedCurve,
+    ValidationReport,
     compute_stats,
+    family_wedge,
+    expand,
+    pg2,
+    structure_from_lines,
     validate,
 )
 
@@ -155,3 +164,147 @@ def test_ld_takes_minimum_common_vertex_degree():
 def test_canonical_sorts_vertices():
     s = IncidenceStructure(1, 3, [(1, 2), (0, 1), (0, 2)])
     assert s.canonical().vertices == ((0, 1), (0, 2), (1, 2))
+
+
+def test_report_is_kept_and_stays_out_of_equality():
+    a = IncidenceStructure(1, 3, [(0, 1), (0, 1, 2)])
+    b = IncidenceStructure(1, 3, [(0, 1), (0, 1, 2)])
+    report = validate(a)
+    assert validate(a) is report
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert validate(b) == report
+
+
+def test_compute_stats_rejects_invalid_on_every_call():
+    s = IncidenceStructure(1, 3, [(0, 1), (0, 1, 2)])
+    for _ in range(3):
+        with pytest.raises(InvalidStructureError) as exc_info:
+            compute_stats(s)
+        assert exc_info.value.report is validate(s)
+        assert str(exc_info.value) == "invalid incidence structure: PairMultiplicity x1"
+
+
+def _pair_min_ld(s):
+    """l_d by brute force: the minimum degree over each pair's vertices."""
+    pair_min = {}
+    for vertex in s.vertices:
+        for pair in combinations(vertex, 2):
+            pair_min[pair] = min(pair_min.get(pair, len(vertex)), len(vertex))
+    return dict(sorted(Counter(pair_min.values()).items()))
+
+
+def test_alpha_one_closed_form_matches_pair_minimum():
+    structures = [
+        expand(family_wedge(1)).structure,
+        expand(family_wedge(2)).structure,
+        structure_from_lines(pg2(7), range(57)),
+        structure_from_lines(pg2(5), (0, 3, 4, 9, 17, 30)),
+        IncidenceStructure(1, 6, [tuple(range(5))] + [(i, 5) for i in range(5)]),
+        IncidenceStructure(1, 5, [range(5)]),
+    ]
+    for s in structures:
+        assert compute_stats(s).ld == _pair_min_ld(s)
+
+
+def seed_validate(s):
+    """The original validation algorithm, kept as a reference: a Counter of
+    curve pairs probed for all C(n, 2) pairs, then a breadth-first search."""
+    if s.n < 2:
+        raise ValueError(f"validation requires at least 2 curves, got {s.n}")
+    violations = []
+    for index, vertex in enumerate(s.vertices):
+        if len(vertex) < 2:
+            violations.append(SmallVertex(index))
+    seen = {}
+    for index, vertex in enumerate(s.vertices):
+        if vertex in seen:
+            violations.append(DuplicateVertex((seen[vertex], index)))
+        else:
+            seen[vertex] = index
+    used = set()
+    for vertex in s.vertices:
+        used.update(vertex)
+    for cid in range(s.n):
+        if cid not in used:
+            violations.append(UnusedCurve(cid))
+    pair_counts = Counter()
+    for vertex in s.vertices:
+        for pair in combinations(vertex, 2):
+            pair_counts[pair] += 1
+    for i in range(s.n):
+        for j in range(i + 1, s.n):
+            observed = pair_counts.get((i, j), 0)
+            if observed != s.alpha:
+                violations.append(PairMultiplicity((i, j), observed))
+    total = s.n + len(s.vertices)
+    adjacency = [[] for _ in range(total)]
+    for vi, vertex in enumerate(s.vertices):
+        for cid in vertex:
+            adjacency[cid].append(s.n + vi)
+            adjacency[s.n + vi].append(cid)
+    marked = [False] * total
+    components = 0
+    for start in range(total):
+        if marked[start]:
+            continue
+        components += 1
+        marked[start] = True
+        queue = deque([start])
+        while queue:
+            for other in adjacency[queue.popleft()]:
+                if not marked[other]:
+                    marked[other] = True
+                    queue.append(other)
+    if components > 1:
+        violations.append(Disconnected(components))
+    return ValidationReport(valid=not violations, violations=tuple(violations))
+
+
+@st.composite
+def messy_structures(draw):
+    """Structures with n <= 12 and alpha in {1, 2, 3}: blocks of all
+    k-subsets on disjoint curve ranges (valid, repeated, disconnected, or
+    leaving curves unused), plus random vertices of any size >= 1, with one
+    vertex possibly dropped, in shuffled order.  alpha often matches the
+    first block's pair multiplicity, so many rows and some inputs pass."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    alpha = draw(st.sampled_from((1, 2, 3)))
+    vertices = []
+    lo = 0
+    while lo < n and draw(st.booleans()):
+        size = draw(st.integers(min_value=1, max_value=n - lo))
+        k = draw(st.integers(min_value=min(2, size), max_value=size))
+        if math.comb(size, k) > 60:
+            k = size
+        copies = draw(st.integers(1, 2))
+        vertices += list(combinations(range(lo, lo + size), k)) * copies
+        multiplicity = copies * math.comb(size - 2, k - 2) if size >= 2 else 0
+        if lo == 0 and multiplicity in (1, 2, 3) and draw(st.booleans()):
+            alpha = multiplicity
+        lo += size
+    vertex = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    vertices += draw(st.lists(vertex, max_size=draw(st.sampled_from((0, 1, 6)))))
+    if vertices and draw(st.booleans()):
+        vertices.pop(draw(st.integers(0, len(vertices) - 1)))
+    return IncidenceStructure(alpha, n, draw(st.permutations(vertices)))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(messy_structures())
+def test_validate_matches_seed_algorithm(s):
+    assert validate(s) == seed_validate(s)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        IncidenceStructure(1, 6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+        IncidenceStructure(2, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+        IncidenceStructure(3, 5, list(combinations(range(5), 3))),
+        IncidenceStructure(2, 5, [(0, 1), (0, 1), (2, 3, 4), (2, 3, 4)]),
+        IncidenceStructure(1, 5, [(0, 1, 2), (3,), (0, 1, 2)]),
+        structure_from_lines(pg2(3), range(13)),
+    ],
+)
+def test_validate_matches_seed_algorithm_on_fixtures(s):
+    assert validate(s) == seed_validate(s)

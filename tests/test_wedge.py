@@ -1,5 +1,6 @@
-"""Expansion machinery tests: gluing, closure, crossings, labels."""
+"""Expansion machinery tests: reflection walk, closure, crossings, labels."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -222,3 +223,38 @@ def test_expansion_never_returns_invalid(spec):
     assert len(mirrors) == spec.m
     assert sum(isinstance(lab, LineAtInfinity) for lab in arr.line_labels) == 1
     assert len(arr.vertex_labels) == len(arr.structure.vertices)
+
+
+# sha256 over the canonical .acc, line labels, vertex labels and wedge_paths
+# of family member j, each followed by a NUL byte, as produced by the
+# original union-find expansion.
+FAMILY_GOLDEN = {
+    1: "e030a47c18a0cac4a2c0f6d3771d3e848346e51239b408f7b2af693c82677f27",
+    2: "0b80e267540de3a0502f95b167c485f7477cdd106f8b8fad98deb6dfad8ccd3d",
+    3: "95cc44bf19ce4b397127b2ac0d5e3b46cae007503d538c70c9d303cd06f78272",
+    4: "67c2dd663266e84270d97293bdc3b21f6a306ee43211765894dbe28d1ced1c78",
+    5: "ade23ab970ce34ee233291514780a1679ef62f179f008ba6f769c85c01e64a35",
+    6: "c48c355a88feb58b9bb3266d604a39e05739c7ac5abe367ddc88327a1084583a",
+}
+
+
+@pytest.mark.parametrize("j", sorted(FAMILY_GOLDEN))
+def test_family_expansion_golden(j):
+    spec = family_wedge(j)
+    arr = expand(spec)
+    digest = hashlib.sha256()
+    for part in (
+        serialize_structure(arr.structure),
+        repr(arr.line_labels),
+        repr(arr.vertex_labels),
+        repr(wedge_paths(spec)),
+    ):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == FAMILY_GOLDEN[j]
+
+
+def test_arrangement_paths_match_wedge_paths():
+    spec = family_wedge(2)
+    paths = expand(spec).paths
+    assert [(name, copy, list(points)) for name, copy, points in paths] == wedge_paths(spec)
