@@ -13,6 +13,7 @@ structure is invalid, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -103,23 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run an exact audit")
     audit_sub = p_audit.add_subparsers(dest="audit", required=True)
 
-    a_thm3 = audit_sub.add_parser("thm3", parents=[common])
-    a_thm3.add_argument("input")
-
-    a_dirac = audit_sub.add_parser("dirac", parents=[common])
-    a_dirac.add_argument("input")
-
-    a_pairs = audit_sub.add_parser("pairs", parents=[common])
-    a_pairs.add_argument("input")
-
-    a_dyadic = audit_sub.add_parser("dyadic", parents=[common])
-    a_dyadic.add_argument("input")
-    a_dyadic.add_argument("--gamma", type=_fraction, required=True)
-    a_dyadic.add_argument("--v", type=int, required=True)
-
-    a_dich = audit_sub.add_parser("dichotomy", parents=[common])
-    a_dich.add_argument("input")
-    a_dich.add_argument("--fraction", type=_fraction, required=True)
+    audit_parsers = {}
+    for name in ("thm3", "dirac", "pairs", "dyadic", "dichotomy"):
+        audit_parsers[name] = audit_sub.add_parser(name, parents=[common])
+        audit_parsers[name].add_argument("input")
+    audit_parsers["dyadic"].add_argument("--gamma", type=_fraction, required=True)
+    audit_parsers["dyadic"].add_argument("--v", type=int, required=True)
+    audit_parsers["dichotomy"].add_argument("--fraction", type=_fraction, required=True)
 
     p_render = sub.add_parser("render", help="emit an SVG diagram")
     render_sub = p_render.add_subparsers(dest="target", required=True)
@@ -192,34 +183,35 @@ def _frac_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _check(lines: list[str], name: str, holds: bool, margin: str) -> bool:
+    """Append one CHECK line; return True when the check fails."""
+    lines.append(f"CHECK {name} {'holds' if holds else 'fails'} {margin}")
+    return not holds
+
+
 def _cmd_audit(args) -> tuple[int, str]:
     s = _detect_structure(_read_input(args.input))
-    stats = compute_stats(s)
-    budget = audits.budget_from_env()
+    validity = validate(s)
+    if not validity.valid:
+        raise InvalidStructureError(validity)
     lines: list[str] = []
     failed = False
 
     if args.audit == "thm3":
-        report = audits.audit_tk_bounds(stats, s.alpha, s.n)
+        report = audits.audit_tk_bounds(compute_stats(s), s.alpha, s.n)
         for entry in report.entries:
             if entry.tk == 0:
                 continue
-            word = "holds" if entry.holds1 else "fails"
-            failed |= not entry.holds1
-            lines.append(f"CHECK thm3.part1.k{entry.k} {word} {_frac_text(entry.margin1)}")
+            failed |= _check(lines, f"thm3.part1.k{entry.k}", entry.holds1, _frac_text(entry.margin1))
             if entry.bound2_applicable:
-                word = "holds" if entry.holds2 else "fails"
-                failed |= not entry.holds2
-                lines.append(f"CHECK thm3.part2.k{entry.k} {word} {_frac_text(entry.margin2)}")
-        word = "holds" if report.part1_holds else "fails"
-        lines.append(f"CHECK thm3.part1 {word} {_frac_text(report.part1_min_margin())}")
+                failed |= _check(lines, f"thm3.part2.k{entry.k}", entry.holds2, _frac_text(entry.margin2))
+        failed |= _check(lines, "thm3.part1", report.part1_holds, _frac_text(report.part1_min_margin()))
         margin2 = report.part2_min_margin()
-        word = "holds" if report.part2_holds else "fails"
-        lines.append(f"CHECK thm3.part2 {word} {_frac_text(margin2) if margin2 is not None else '0/1'}")
-        failed |= not (report.part1_holds and report.part2_holds)
+        margin2_text = _frac_text(margin2) if margin2 is not None else "0/1"
+        failed |= _check(lines, "thm3.part2", report.part2_holds, margin2_text)
 
     elif args.audit == "dirac":
-        report = audits.audit_dirac(s, budget)
+        report = audits.audit_dirac(s, audits.budget_from_env())
         if not report.hypothesis_holds:
             witness = ",".join(str(i) for i in report.witness_subset)
             if not args.quiet:
@@ -227,49 +219,44 @@ def _cmd_audit(args) -> tuple[int, str]:
                     f"NOTICE dirac hypothesis_violated witness={witness} covers all {report.n} curves"
                 )
         else:
-            word = "holds" if report.g_ge_h else "fails"
-            failed |= not report.g_ge_h
-            lines.append(f"CHECK dirac.g_ge_h {word} {report.g_margin}/1")
-            word = "holds" if report.binom_ineq_holds else "fails"
-            failed |= not report.binom_ineq_holds
-            lines.append(f"CHECK dirac.binom {word} {report.binom_margin}/1")
+            failed |= _check(lines, "dirac.g_ge_h", report.g_ge_h, f"{report.g_margin}/1")
+            failed |= _check(lines, "dirac.binom", report.binom_ineq_holds, f"{report.binom_margin}/1")
             if not args.quiet:
                 witness = ",".join(str(i) for i in report.witness_subset)
                 lines.append(f"NOTE dirac g={report.g} h={report.h} witness={witness}")
 
     elif args.audit == "pairs":
-        report = audits.audit_pair_identity(stats, s.n)
-        word = "holds" if report.holds else "fails"
-        failed |= not report.holds
-        lines.append(f"CHECK pairs {word} {report.observed}/{report.expected}")
+        report = audits.audit_pair_identity(compute_stats(s), s.n)
+        failed |= _check(lines, "pairs", report.holds, f"{report.observed}/{report.expected}")
 
     elif args.audit == "dyadic":
         params = audits.DyadicProfileParams(gamma=args.gamma, v=args.v)
-        report = audits.dyadic_profile(stats, params, s.n)
+        report = audits.dyadic_profile(compute_stats(s), params, s.n)
         if not args.quiet:
             lines.append(f"NOTE dyadic window {report.lower} {report.upper}")
             lines.append(f"NOTE dyadic empty {'true' if report.empty_window else 'false'}")
             lines.append(f"NOTE dyadic below {report.below}")
             lines.append(f"NOTE dyadic inside {report.inside}")
             lines.append(f"NOTE dyadic above {report.above}")
-        expected = audits.audit_pair_identity(stats, s.n).expected
-        word = "holds" if report.total == expected else "fails"
-        failed |= report.total != expected
-        lines.append(f"CHECK dyadic.total {word} {report.total}/{expected}")
+        expected = math.comb(s.n, 2)
+        failed |= _check(lines, "dyadic.total", report.total == expected, f"{report.total}/{expected}")
 
     elif args.audit == "dichotomy":
-        report = audits.dichotomy_report(s, args.fraction, budget)
+        report = audits.dichotomy_report(s, args.fraction, audits.budget_from_env())
         witness = ",".join(str(i) for i in report.witness_subset)
         if not args.quiet:
             lines.append(f"NOTE dichotomy branch {report.branch}")
             lines.append(f"NOTE dichotomy coverage {report.coverage}/{report.n}")
             lines.append(f"NOTE dichotomy witness {witness}")
             lines.append(f"NOTE dichotomy vertices {report.vertex_count}")
-    else:
-        raise AssertionError(args.audit)
 
     code = EXIT_CHECK_FAILED if failed else EXIT_OK
     return code, ("\n".join(lines) + "\n") if lines else ""
+
+
+def _cmd_expand(args) -> tuple[int, str]:
+    spec = formats.parse_wedge(_read_input(args.input))
+    return EXIT_OK, formats.serialize_structure(expand(spec).structure)
 
 
 def _cmd_render(args) -> tuple[int, str]:
@@ -277,6 +264,16 @@ def _cmd_render(args) -> tuple[int, str]:
     if args.target == "wedge":
         return EXIT_OK, render.render_wedge(spec)
     return EXIT_OK, render.render_arrangement(spec)
+
+
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "expand": _cmd_expand,
+    "validate": _cmd_validate,
+    "stats": _cmd_stats,
+    "audit": _cmd_audit,
+    "render": _cmd_render,
+}
 
 
 def dispatch(argv) -> int:
@@ -287,21 +284,7 @@ def dispatch(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command == "gen":
-            code, text = _cmd_gen(args)
-        elif args.command == "expand":
-            spec = formats.parse_wedge(_read_input(args.input))
-            code, text = EXIT_OK, formats.serialize_structure(expand(spec).structure)
-        elif args.command == "validate":
-            code, text = _cmd_validate(args)
-        elif args.command == "stats":
-            code, text = _cmd_stats(args)
-        elif args.command == "audit":
-            code, text = _cmd_audit(args)
-        elif args.command == "render":
-            code, text = _cmd_render(args)
-        else:
-            raise AssertionError(args.command)
+        code, text = _COMMANDS[args.command](args)
     except (formats.ParseError, NotPrime, _UsageError, audits.SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

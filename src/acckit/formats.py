@@ -58,17 +58,11 @@ def parse_structure(text: str) -> IncidenceStructure:
     if header != "acc 1":
         raise ParseError(number, f"bad header {header!r}, expected 'acc 1'")
 
-    if len(lines) < 2 or not lines[1][1].startswith("alpha "):
-        raise ParseError(lines[1][0] if len(lines) > 1 else number, "expected 'alpha <int>'")
-    number, line = lines[1]
-    alpha = _parse_int(line.split(" ", 1)[1], number, "alpha")
+    number, alpha = _header_int(lines, 1, "alpha", "alpha")
     if alpha < 1:
         raise ParseError(number, f"alpha must be >= 1, got {alpha}")
 
-    if len(lines) < 3 or not lines[2][1].startswith("lines "):
-        raise ParseError(lines[2][0] if len(lines) > 2 else number, "expected 'lines <int>'")
-    number, line = lines[2]
-    n = _parse_int(line.split(" ", 1)[1], number, "line count")
+    number, n = _header_int(lines, 2, "lines", "line count")
     if n < 0:
         raise ParseError(number, f"line count must be >= 0, got {n}")
 
@@ -110,10 +104,7 @@ def parse_wedge(text: str) -> WedgeSpec:
     if header != "wedge 1":
         raise ParseError(number, f"bad header {header!r}, expected 'wedge 1'")
 
-    if len(lines) < 2 or not lines[1][1].startswith("m "):
-        raise ParseError(lines[1][0] if len(lines) > 1 else number, "expected 'm <int>'")
-    number, line = lines[1]
-    m = _parse_int(line.split(" ", 1)[1], number, "dihedral order")
+    _, m = _header_int(lines, 1, "m", "dihedral order")
 
     beams: list[BeamSpec] = []
     for number, line in lines[2:]:
@@ -150,6 +141,15 @@ def serialize_wedge(spec: WedgeSpec) -> str:
         tokens = " ".join(f"{e.side}{e.rank}" for e in beam.events)
         out.append(f"beam {beam.name} {tokens}")
     return "\n".join(out) + "\n"
+
+
+def _header_int(lines, index: int, key: str, what: str) -> tuple[int, int]:
+    """Parse significant line `index` as '<key> <int>'; return its line
+    number and value.  A missing line is reported at the line before it."""
+    if len(lines) <= index or not lines[index][1].startswith(key + " "):
+        raise ParseError(lines[min(index, len(lines) - 1)][0], f"expected '{key} <int>'")
+    number, line = lines[index]
+    return number, _parse_int(line.split(" ", 1)[1], number, what)
 
 
 def _parse_int(token: str, line: int, what: str) -> int:

@@ -62,21 +62,15 @@ def pg2(p: int) -> ProjectivePlane:
     return ProjectivePlane(p=p, points=reps, lines=reps)
 
 
-def structure_from_lines(
-    plane: ProjectivePlane, line_ids, dedupe: bool = False
-) -> IncidenceStructure:
+def structure_from_lines(plane: ProjectivePlane, line_ids) -> IncidenceStructure:
     """Incidence structure of the chosen lines: vertices are the plane
     points lying on at least two of them.  Curve i is line_ids[i]."""
     ids = list(line_ids)
-    if dedupe:
-        seen: set[int] = set()
-        ids = [i for i in ids if not (i in seen or seen.add(i))]
-    else:
-        seen = set()
-        for line_id in ids:
-            if line_id in seen:
-                raise DuplicateLineId(line_id)
-            seen.add(line_id)
+    seen: set[int] = set()
+    for line_id in ids:
+        if line_id in seen:
+            raise DuplicateLineId(line_id)
+        seen.add(line_id)
     for line_id in ids:
         if not (0 <= line_id < len(plane.lines)):
             raise ValueError(f"line id {line_id} out of range 0..{len(plane.lines) - 1}")

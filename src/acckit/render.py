@@ -66,20 +66,37 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _check_radius_order(opts: RenderOptions, ranks) -> dict[int, float]:
-    radii = {rank: float(opts.radius(rank)) for rank in ranks}
+def _check_radius_order(opts: RenderOptions, spec: WedgeSpec) -> None:
+    radii = {e.rank: float(opts.radius(e.rank)) for beam in spec.beams for e in beam.events}
     ordered = sorted(radii)
     for a, b in zip(ordered, ordered[1:]):
         assert radii[a] > radii[b], "radius map must preserve rank order"
-    return radii
+
+
+def _svg(opts: RenderOptions, view: str, body: list[str]) -> str:
+    """An SVG document: XML header, root element, body, closing tag."""
+    header = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{opts.size}" '
+        f'height="{opts.size}" viewBox="{view}">',
+    ]
+    return "\n".join(header + body + ["</svg>"]) + "\n"
+
+
+def _beam(name: str, pts, color: str) -> str:
+    """One beam polyline through pts."""
+    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    return (
+        f'<polyline class="beam beam-{_attr(name)}" points="{coords}" '
+        f"stroke={quoteattr(color)} fill=\"none\"/>"
+    )
 
 
 def render_wedge(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
     """One wedge: two mirror rays at angle pi/m plus the beam polylines."""
     angle = math.pi / spec.m
     base = float(opts.radius_base)
-    ranks = {e.rank for beam in spec.beams for e in beam.events}
-    _check_radius_order(opts, ranks)
+    _check_radius_order(opts, spec)
 
     def point(side: str, rank: int) -> tuple[float, float]:
         r = float(opts.radius(rank))
@@ -93,9 +110,6 @@ def render_wedge(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
     view = f"{_fmt(-pad)} {_fmt(-height - pad)} {_fmt(ray_len + 2 * pad)} {_fmt(height + 2 * pad)}"
 
     parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{opts.size}" '
-        f'height="{opts.size}" viewBox="{view}">',
         f'<path class="mirror-ray" d="M 0 0 L {_fmt(ray_len)} 0" '
         f'stroke={quoteattr(opts.stroke("mirror"))} fill="none"/>',
         f'<path class="mirror-ray" d="M 0 0 L {_fmt(ray_len * math.cos(angle))} '
@@ -106,12 +120,7 @@ def render_wedge(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
         pts = [point(e.side, e.rank) for e in beam.events]
         # Entry runs parallel to the bottom edge toward the first bounce.
         entry = (ray_len, pts[0][1])
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in [entry] + pts)
-        color = opts.stroke(f"beam:{beam.name}", bi)
-        parts.append(
-            f'<polyline class="beam beam-{_attr(beam.name)}" points="{coords}" '
-            f"stroke={quoteattr(color)} fill=\"none\"/>"
-        )
+        parts.append(_beam(beam.name, [entry] + pts, opts.stroke(f"beam:{beam.name}", bi)))
         if opts.show_labels:
             for e, (x, y) in zip(beam.events, pts):
                 parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(base * 0.012)}"/>')
@@ -120,8 +129,7 @@ def render_wedge(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
                     f'font-size="{_fmt(base * 0.05)}">{e.side}{e.rank}</text>'
                 )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(opts, view, parts)
 
 
 def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
@@ -130,8 +138,7 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
     arrangement = expand(spec)
     m = spec.m
     base = float(opts.radius_base)
-    ranks = {e.rank for beam in spec.beams for e in beam.events}
-    _check_radius_order(opts, ranks)
+    _check_radius_order(opts, spec)
 
     circle_r = base * 1.05
 
@@ -148,11 +155,6 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
 
     extent = circle_r * 1.06
     view = f"{_fmt(-extent)} {_fmt(-extent)} {_fmt(2 * extent)} {_fmt(2 * extent)}"
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{opts.size}" '
-        f'height="{opts.size}" viewBox="{view}">',
-    ]
 
     # Line at infinity: the bounding circle as a 72-gon.
     steps = 72
@@ -160,10 +162,10 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
         f"{_fmt(x)},{_fmt(y)}"
         for x, y in [circle_point(2 * math.pi * i / steps) for i in range(steps + 1)]
     )
-    parts.append(
+    parts = [
         f'<polyline class="line-infinity" points="{circle_coords}" '
         f"stroke={quoteattr(opts.stroke('infinity'))} fill=\"none\"/>"
-    )
+    ]
 
     for i in range(m):
         a = circle_point(ray_angle(i))
@@ -181,15 +183,9 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
                 pts.append(circle_point(ray_angle(a)))
             else:
                 pts.append(bounce_point(a, b))
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        color = opts.stroke(f"beam:{name}", beam_index[name])
-        parts.append(
-            f'<polyline class="beam beam-{_attr(name)}" points="{coords}" '
-            f"stroke={quoteattr(color)} fill=\"none\"/>"
-        )
+        parts.append(_beam(name, pts, opts.stroke(f"beam:{name}", beam_index[name])))
 
     if opts.show_labels:
         parts.append(f'<circle cx="0" cy="0" r="{_fmt(base * 0.015)}"/>')
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(opts, view, parts)

@@ -13,7 +13,7 @@ All arithmetic in this module is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Union
@@ -168,7 +168,7 @@ def validate(s: IncidenceStructure) -> ValidationReport:
                 violations.append(PairMultiplicity((i, j), observed))
 
     if not pairs_hold:
-        components = _component_count(s)
+        components = _component_count(on)
         if components > 1:
             violations.append(Disconnected(components))
 
@@ -177,32 +177,32 @@ def validate(s: IncidenceStructure) -> ValidationReport:
     return report
 
 
-def _component_count(s: IncidenceStructure) -> int:
-    """Components of the bipartite graph on curves and vertex records."""
-    curve_nodes = s.n
-    total = curve_nodes + len(s.vertices)
-    if total == 0:
-        return 0
-    adjacency: list[list[int]] = [[] for _ in range(total)]
-    for vi, vertex in enumerate(s.vertices):
-        vnode = curve_nodes + vi
-        for cid in vertex:
-            adjacency[cid].append(vnode)
-            adjacency[vnode].append(cid)
-    seen = [False] * total
+def _component_count(on: list[list[tuple[int, ...]]]) -> int:
+    """Components of the bipartite graph on curves and vertex records.
+
+    on[i] lists the vertex records on curve i.  Every record holds at least
+    one curve, so every component contains a curve, and the components are
+    those of the curves joined through shared records.  Each record is
+    walked once, from the first of its curves reached.
+    """
+    reached = [False] * len(on)
+    walked: set[int] = set()
     components = 0
-    for start in range(total):
-        if seen[start]:
+    for start in range(len(on)):
+        if reached[start]:
             continue
         components += 1
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            node = queue.popleft()
-            for other in adjacency[node]:
-                if not seen[other]:
-                    seen[other] = True
-                    queue.append(other)
+        reached[start] = True
+        stack = [start]
+        while stack:
+            for vertex in on[stack.pop()]:
+                if id(vertex) in walked:
+                    continue
+                walked.add(id(vertex))
+                for cid in vertex:
+                    if not reached[cid]:
+                        reached[cid] = True
+                        stack.append(cid)
     return components
 
 

@@ -161,28 +161,11 @@ class ExpandedArrangement:
     vertex_labels: tuple[VertexLabel, ...]
     paths: tuple[CopyPath, ...]
 
-    @property
-    def m(self) -> int:
-        return sum(1 for lab in self.line_labels if isinstance(lab, Mirror))
-
     def apex_degree(self) -> int:
         for vertex, label in zip(self.structure.vertices, self.vertex_labels):
             if isinstance(label, Apex):
                 return len(vertex)
         raise AssertionError("expansion always has an apex vertex")
-
-    def curves_by_label(self) -> dict[str, list[int]]:
-        """Curve ids grouped into label classes: mirror, beam:<name>, infinity."""
-        groups: dict[str, list[int]] = {}
-        for cid, label in enumerate(self.line_labels):
-            if isinstance(label, Mirror):
-                key = "mirror"
-            elif isinstance(label, BeamCopy):
-                key = f"beam:{label.beam}"
-            else:
-                key = "infinity"
-            groups.setdefault(key, []).append(cid)
-        return groups
 
 
 class ExpansionError(Exception):
@@ -287,36 +270,29 @@ class _Expansion:
     def _find_crossings(self):
         """Interleaving segment pairs inside the fundamental wedge.
 
-        Boundary cycle: apex, bottom ray outward (decreasing rank), bottom
-        ideal, top ideal, top ray inward (increasing rank), back to the
-        apex.  Chords strictly interleaving on this cycle cross once inside
-        the wedge; chords sharing an endpoint meet on the boundary instead.
+        Boundary cycle, numbered from 0: the bottom ranks outward
+        (decreasing rank), the bottom ideal point, the top ideal point, then
+        the top ranks inward (increasing rank), back to the apex.  Every
+        entry segment starts at the bottom ideal point; no segment ends at
+        the top one.  Chords strictly interleaving on this cycle cross once
+        inside the wedge; chords sharing an endpoint meet on the boundary
+        instead.
         """
-        bottom_ranks: set[int] = set()
-        top_ranks: set[int] = set()
+        ranks: dict[str, set[int]] = {TOP: set(), BOTTOM: set()}
         for beam in self.spec.beams:
             for event in beam.events:
-                (top_ranks if event.side == TOP else bottom_ranks).add(event.rank)
-        self.ranks = {TOP: sorted(top_ranks), BOTTOM: sorted(bottom_ranks)}
+                ranks[event.side].add(event.rank)
+        self.ranks = {side: sorted(found) for side, found in ranks.items()}
 
-        position: dict[object, int] = {}
-        index = 0
-        for rank in sorted(bottom_ranks, reverse=True):
-            position[(BOTTOM, rank)] = index
-            index += 1
-        position["bottom-ideal"] = index
-        index += 1
-        position["top-ideal"] = index
-        index += 1
-        for rank in sorted(top_ranks):
-            position[(TOP, rank)] = index
-            index += 1
-        cycle_size = index
+        ideal = len(self.ranks[BOTTOM])
+        position = {(BOTTOM, rank): ideal - 1 - i for i, rank in enumerate(self.ranks[BOTTOM])}
+        position.update(((TOP, rank), ideal + 2 + i) for i, rank in enumerate(self.ranks[TOP]))
+        cycle_size = len(position) + 2
 
         chords: list[tuple[int, int, int, int]] = []  # (beam, segment, posA, posB)
         for bi, beam in enumerate(self.spec.beams):
             for s in range(len(beam.events)):
-                start = position["bottom-ideal"] if s == 0 else position[beam.events[s - 1].key]
+                start = ideal if s == 0 else position[beam.events[s - 1].key]
                 end = position[beam.events[s].key]
                 chords.append((bi, s, start, end))
 

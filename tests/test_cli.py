@@ -1,9 +1,18 @@
 """End-to-end CLI tests, including the documented pipelines."""
 
+import ast
 import io
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import pytest
+
+import acckit.cli
 from acckit.cli import dispatch
+
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+PENCIL3 = "acc 1\nalpha 1\nlines 3\nv 0 1 2\n"
+INVALID = "acc 1\nalpha 1\nlines 3\nv 0 1\nv 0 1 2\n"
 
 
 def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -239,3 +248,85 @@ def test_expansion_error_exits_one(capsys, monkeypatch):
     code, _, err = run_cli(["expand", "-"], capsys, bad_wedge, monkeypatch)
     assert code == 1
     assert "close" in err
+
+
+def test_subset_budget_read_only_by_subset_audits(capsys, monkeypatch):
+    monkeypatch.setenv("ACCKIT_SUBSET_BUDGET", "x")
+    code, out, _ = run_cli(["audit", "pairs", "-"], capsys, PENCIL3, monkeypatch)
+    assert (code, out) == (0, "CHECK pairs holds 3/3\n")
+    code, _, err = run_cli(["audit", "dirac", "-"], capsys, PENCIL3, monkeypatch)
+    assert code == 2
+    assert "ACCKIT_SUBSET_BUDGET must be an integer" in err
+
+
+def test_subset_audits_skip_stats(capsys, monkeypatch):
+    _, wedge_text, _ = run_cli(["gen", "family", "--j", "1"], capsys)
+    commands = (["audit", "dirac", "-"], ["audit", "dichotomy", "-", "--fraction", "8/25"])
+    before = [run_cli(argv, capsys, wedge_text, monkeypatch) for argv in commands]
+
+    def refuse(s):
+        raise AssertionError("compute_stats called")
+
+    monkeypatch.setattr(acckit.cli, "compute_stats", refuse)
+    after = [run_cli(argv, capsys, wedge_text, monkeypatch) for argv in commands]
+    assert after == before
+    assert [code for code, _, _ in after] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "text, argv, budget, code, fragment",
+    [
+        (INVALID, ["audit", "dichotomy", "-", "--fraction", "2"], None, 1, "invalid incidence structure"),
+        (INVALID, ["audit", "dirac", "-"], "x", 1, "invalid incidence structure"),
+        ("acc 1\nalpha 1\nlines 1\n", ["audit", "dirac", "-"], "x", 2, "at least 2 curves"),
+    ],
+)
+def test_audit_error_precedence(capsys, monkeypatch, text, argv, budget, code, fragment):
+    if budget is not None:
+        monkeypatch.setenv("ACCKIT_SUBSET_BUDGET", budget)
+    got, _, err = run_cli(argv, capsys, text, monkeypatch)
+    assert got == code
+    assert fragment in err
+
+
+def _bench_cli_hooks() -> list[str]:
+    """acckit.cli attributes that the traced benchmark wraps (bench/spans.py PATCHES)."""
+    for node in ast.parse(BENCH_SPANS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]:
+            patches = ast.literal_eval(node.value)
+            return [attr for module, attr, _ in patches if module == "acckit.cli"]
+    raise AssertionError("no PATCHES in bench/spans.py")
+
+
+def test_bench_hooks_are_called_through_cli_globals(capsys, monkeypatch, tmp_path):
+    wedge = tmp_path / "j1.wedge"
+    acc = tmp_path / "j1.acc"
+    run_cli(["gen", "family", "--j", "1", "--out", str(wedge)], capsys)
+    run_cli(["expand", str(wedge), "--out", str(acc)], capsys)
+    commands = {
+        "validate": ["validate", str(acc)],
+        "compute_stats": ["stats", str(acc)],
+        "expand": ["expand", str(wedge)],
+        "pg2": ["gen", "pg2", "--p", "3", "--n", "4"],
+        "sample_lines": ["gen", "pg2", "--p", "3", "--n", "4"],
+        "structure_from_lines": ["gen", "pg2", "--p", "3", "--n", "4"],
+        "family_wedge": ["gen", "family", "--j", "1"],
+        "gen_pencil": ["gen", "pencil", "--n", "4"],
+        "gen_near_pencil": ["gen", "near-pencil", "--n", "4"],
+        "gen_simple_cyclic": ["gen", "simple", "--n", "4"],
+    }
+    hooks = _bench_cli_hooks()
+    assert hooks
+    for name in hooks:
+        calls = []
+        original = getattr(acckit.cli, name)
+
+        def recording(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(acckit.cli, name, recording)
+            code, _, _ = run_cli(commands[name], capsys)
+        assert code == 0, name
+        assert calls, f"acckit.cli.{name} was not called through the module global"

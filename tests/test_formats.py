@@ -60,7 +60,9 @@ def test_duplicate_id_in_vertex_reports_line():
         ("acc 1\nalpha x\nlines 2\n", 2, "bad alpha"),
         ("acc 1\nalpha 0\nlines 2\n", 2, "alpha must be >= 1"),
         ("acc 1\nlines 2\n", 2, "expected 'alpha"),
+        ("acc 1\n", 1, "expected 'alpha"),
         ("acc 1\nalpha 1\n", 2, "expected 'lines"),
+        ("# header\nacc 1\n\n# multiplicity\nalpha 1\n\n", 5, "expected 'lines"),
         ("acc 1\nalpha 1\nlines 2\nv 0\n", 4, "at least 2"),
         ("acc 1\nalpha 1\nlines 2\nv 1 0\n", 4, "strictly increasing"),
         ("acc 1\nalpha 1\nlines 2\nv 0 2\n", 4, "out of range"),
@@ -117,6 +119,8 @@ def test_wedge_round_trip_larger():
     [
         ("", "empty input"),
         ("wedge 2\nm 4\n", "bad header"),
+        ("wedge 1\n", "expected 'm"),
+        ("wedge 1\nk 4\n", "expected 'm"),
         ("wedge 1\nm x\n", "bad dihedral order"),
         ("wedge 1\nm 1\n", "dihedral order must be >= 2"),
         ("wedge 1\nm 4\nbeam\n", "beam needs a name"),
