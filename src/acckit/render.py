@@ -12,14 +12,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from xml.sax.saxutils import escape, quoteattr
 
 from .wedge import WedgeSpec, expand
 
 
+# Written out rather than taken from xml.sax.saxutils, whose import pulls in
+# urllib.request, http.client and email; the results are the same.
+def _escape(value: str) -> str:
+    """Escape &, > and < for XML text."""
+    return value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _attr(value: str) -> str:
     """Escape text for use inside a double-quoted XML attribute."""
-    return escape(value, {'"': "&quot;"})
+    return _escape(value).replace('"', "&quot;")
+
+
+def _quoteattr(value: str) -> str:
+    """Escape and quote an XML attribute value: double quotes unless the
+    value holds a double quote and no single one."""
+    value = _escape(value).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 _DEFAULT_STROKES = {
     "mirror": "#333333",
@@ -88,7 +105,7 @@ def _beam(name: str, pts, color: str) -> str:
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
     return (
         f'<polyline class="beam beam-{_attr(name)}" points="{coords}" '
-        f"stroke={quoteattr(color)} fill=\"none\"/>"
+        f"stroke={_quoteattr(color)} fill=\"none\"/>"
     )
 
 
@@ -111,9 +128,9 @@ def render_wedge(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
 
     parts = [
         f'<path class="mirror-ray" d="M 0 0 L {_fmt(ray_len)} 0" '
-        f'stroke={quoteattr(opts.stroke("mirror"))} fill="none"/>',
+        f'stroke={_quoteattr(opts.stroke("mirror"))} fill="none"/>',
         f'<path class="mirror-ray" d="M 0 0 L {_fmt(ray_len * math.cos(angle))} '
-        f'{_fmt(-ray_len * math.sin(angle))}" stroke={quoteattr(opts.stroke("mirror"))} fill="none"/>',
+        f'{_fmt(-ray_len * math.sin(angle))}" stroke={_quoteattr(opts.stroke("mirror"))} fill="none"/>',
     ]
 
     for bi, beam in enumerate(spec.beams):
@@ -164,7 +181,7 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
     )
     parts = [
         f'<polyline class="line-infinity" points="{circle_coords}" '
-        f"stroke={quoteattr(opts.stroke('infinity'))} fill=\"none\"/>"
+        f"stroke={_quoteattr(opts.stroke('infinity'))} fill=\"none\"/>"
     ]
 
     for i in range(m):
@@ -172,7 +189,7 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
         b = circle_point(ray_angle(i) + math.pi)
         parts.append(
             f'<polyline class="mirror" points="{_fmt(a[0])},{_fmt(a[1])} '
-            f"{_fmt(b[0])},{_fmt(b[1])}\" stroke={quoteattr(opts.stroke('mirror'))} fill=\"none\"/>"
+            f"{_fmt(b[0])},{_fmt(b[1])}\" stroke={_quoteattr(opts.stroke('mirror'))} fill=\"none\"/>"
         )
 
     beam_index = {beam.name: bi for bi, beam in enumerate(spec.beams)}

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
+from operator import itemgetter, lt
 from typing import Iterable, Union
 
 
@@ -25,9 +26,10 @@ class IncidenceStructure:
 
     The constructor normalizes vertex id order and rejects data that cannot
     describe any structure at all (ids out of range, duplicate ids inside a
-    vertex, empty vertices).  Semantic problems such as wrong pair
-    multiplicities or disconnection are the job of :func:`validate`, which
-    reports them instead of raising.
+    vertex, empty vertices).  A list or tuple of records that are already
+    rising tuples of ints is checked in bulk and kept as it is.  Semantic
+    problems such as wrong pair multiplicities or disconnection are the job
+    of :func:`validate`, which reports them instead of raising.
     """
 
     alpha: int
@@ -42,18 +44,21 @@ class IncidenceStructure:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         if n < 0:
             raise ValueError(f"curve count must be >= 0, got {n}")
-        normalized = []
-        for vertex in vertices:
-            ids = sorted(vertex)
-            if not ids:
-                raise ValueError("empty vertex record")
-            for a, b in zip(ids, ids[1:]):
-                if a == b:
-                    raise ValueError(f"duplicate id {a} within a vertex")
-            if ids[0] < 0 or ids[-1] >= n:
-                bad = ids[0] if ids[0] < 0 else ids[-1]
-                raise ValueError(f"curve id {bad} out of range 0..{n - 1}")
-            normalized.append(tuple(ids))
+        if type(vertices) in (list, tuple) and _already_normal(vertices, n):
+            normalized = vertices
+        else:
+            normalized = []
+            for vertex in vertices:
+                ids = sorted(vertex)
+                if not ids:
+                    raise ValueError("empty vertex record")
+                for a, b in zip(ids, ids[1:]):
+                    if a == b:
+                        raise ValueError(f"duplicate id {a} within a vertex")
+                if ids[0] < 0 or ids[-1] >= n:
+                    bad = ids[0] if ids[0] < 0 else ids[-1]
+                    raise ValueError(f"curve id {bad} out of range 0..{n - 1}")
+                normalized.append(tuple(ids))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "vertices", tuple(normalized))
@@ -63,7 +68,27 @@ class IncidenceStructure:
         return IncidenceStructure(self.alpha, self.n, sorted(self.vertices))
 
 
-@dataclass(frozen=True)
+def _already_normal(vertices: list | tuple, n: int) -> bool:
+    """True when every record is a non-empty tuple of int ids, strictly
+    rising, within 0..n-1, checked in bulk over the records laid end to end.
+
+    Of the adjacent pairs in that flat list, len(flat) - len(vertices) lie
+    inside a record; the pairs across record boundaries are counted apart
+    and subtracted.  Anything else goes through the constructor's
+    per-record loop, which normalizes it or reports the first fault.
+    """
+    if not vertices or set(map(type, vertices)) != {tuple} or min(map(len, vertices)) == 0:
+        return False
+    flat = list(chain.from_iterable(vertices))
+    if set(map(type, flat)) != {int}:
+        return False
+    firsts = list(map(itemgetter(0), vertices))
+    lasts = list(map(itemgetter(-1), vertices))
+    inside = sum(map(lt, flat, islice(flat, 1, None))) - sum(map(lt, lasts, islice(firsts, 1, None)))
+    return inside == len(flat) - len(vertices) and min(firsts) >= 0 and max(lasts) < n
+
+
+@dataclass(frozen=True, slots=True)
 class PairMultiplicity:
     """A curve pair covered by `observed` vertices instead of alpha."""
 
@@ -71,28 +96,28 @@ class PairMultiplicity:
     observed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DuplicateVertex:
     """Two vertex records (by index) with identical id sets."""
 
     indices: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disconnected:
     """Bipartite membership graph splits into this many components."""
 
     components: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmallVertex:
     """Vertex record (by index) with fewer than two curve ids."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnusedCurve:
     """Curve id that appears in no vertex."""
 
@@ -128,7 +153,10 @@ def validate(s: IncidenceStructure) -> ValidationReport:
 
     The pair check is one pass per curve i: counting the ids of the vertices
     on i gives, for every other curve j, how many vertices i and j share.
-    Only a row that is not all alpha is walked to list its pairs.  When every
+    Only a row that is not all alpha is walked to list its pairs.  For
+    alpha = 1 the count is built only for rows that fail a cheaper test: the
+    vertices on i hold sum(|v| - 1) = n - 1 other ids and all n ids between
+    them, so each other curve meets i exactly once.  When every
     pair shares alpha >= 1 vertices, any two curves meet, so the membership
     graph is connected and the component count is skipped.
 
@@ -157,8 +185,11 @@ def validate(s: IncidenceStructure) -> ValidationReport:
     violations.extend(UnusedCurve(cid) for cid in range(n) if not on[cid])
 
     pairs_hold = True
-    for i in range(n):
-        row = Counter(chain.from_iterable(on[i]))
+    for i, records in enumerate(on):
+        if alpha == 1 and sum(map(len, records)) - len(records) == n - 1:
+            if len(set(chain.from_iterable(records))) == n:
+                continue
+        row = Counter(chain.from_iterable(records))
         if list(row.values()).count(alpha) - (row[i] == alpha) == n - 1:
             continue
         pairs_hold = False

@@ -17,8 +17,8 @@ and opposite rays r and r+m form the full mirror line r mod m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from operator import itemgetter
 
 from .structure import IncidenceStructure, ValidationReport, validate
 
@@ -145,27 +145,35 @@ Waypoint = tuple[str, int, int]
 CopyPath = tuple[str, int, tuple[Waypoint, ...]]
 
 
-@dataclass(frozen=True)
 class ExpandedArrangement:
     """Expansion result: the incidence structure plus provenance labels.
 
     line_labels[i] describes curve id i; vertex_labels[j] describes
     structure.vertices[j].  paths holds every beam copy's boundary
-    traversal in curve id order, for the renderer.  The structure always
-    passes validation with alpha = 1; expansion raises instead of returning
-    anything weaker.
+    traversal in curve id order, for the renderer.  Expansion itself builds
+    only the curve ids; vertex_labels and paths are built on first read and
+    then kept.  The structure always passes validation with alpha = 1;
+    expansion raises instead of returning anything weaker.
     """
 
-    structure: IncidenceStructure
-    line_labels: tuple[LineLabel, ...]
-    vertex_labels: tuple[VertexLabel, ...]
-    paths: tuple[CopyPath, ...]
+    def __init__(self, structure: IncidenceStructure, expansion: _Expansion, order: list[int]):
+        self.structure = structure
+        self.line_labels: tuple[LineLabel, ...] = expansion.line_labels()
+        self._expansion = expansion
+        # structure.vertices[j] is the vertex built order[j]-th.
+        self._order = order
+
+    @cached_property
+    def vertex_labels(self) -> tuple[VertexLabel, ...]:
+        return tuple(map(self._expansion.vertex_labels().__getitem__, self._order))
+
+    @cached_property
+    def paths(self) -> tuple[CopyPath, ...]:
+        return self._expansion.paths()
 
     def apex_degree(self) -> int:
-        for vertex, label in zip(self.structure.vertices, self.vertex_labels):
-            if isinstance(label, Apex):
-                return len(vertex)
-        raise AssertionError("expansion always has an apex vertex")
+        # The apex is the first vertex built.
+        return len(self.structure.vertices[self._order.index(0)])
 
 
 class ExpansionError(Exception):
@@ -206,7 +214,8 @@ class _Expansion:
     the terminating bounce, and back through the same bounces to a second
     entry segment.  Each walk covers 2t of the beam's 2m * t atoms, so every
     beam has m copies, numbered by their lowest entry wedge.  The walk
-    records each atom's curve id and each copy's waypoints as it goes.
+    records each atom's curve id and the rays each copy meets; labels and
+    waypoints are built from these only when asked for.
     """
 
     def __init__(self, spec: WedgeSpec):
@@ -223,7 +232,7 @@ class _Expansion:
         self._find_crossings()
 
     def _walk(self):
-        """Number every beam copy, check closure, and record its waypoints.
+        """Number every beam copy, check closure, and record its rays.
 
         Both loose ends of a copy are entry segments, which run parallel to
         the wedge's bottom edge and so reach infinity at the bottom mirror's
@@ -233,39 +242,53 @@ class _Expansion:
         m, bottom = self.m, self.across[BOTTOM]
         # curves[bi][w * t + s] is the curve id of atom (bi, w, s).
         self.curves: list[list[int]] = []
+        # rays[bi] holds, copy after copy, the ray of the copy's first ideal
+        # end, of each bounce along its route, and of its second ideal end.
+        self.rays: list[list[int]] = []
         self.ideal_members: list[list[int]] = [[] for _ in range(m)]
-        self.paths: list[CopyPath] = []
         next_id = m
         for beam in self.spec.beams:
             t = len(beam.events)
-            steps = [(self.across[event.side], event.rank) for event in beam.events]
+            steps = [self.across[event.side] for event in beam.events]
             # (segment, bounce ending it): out through every bounce, then
             # back from the terminating one.
-            route = [(s, *steps[s]) for s in range(t)]
-            route += [(s, *steps[s - 1]) for s in range(t - 1, 0, -1)]
+            route = [(s, steps[s]) for s in range(t)]
+            route += [(s, steps[s - 1]) for s in range(t - 1, 0, -1)]
             curve = [0] * (self.nw * t)
-            copy = 0
+            rays: list[int] = []
             for start in range(self.nw):
                 if curve[start * t]:
                     continue
                 w = start
-                waypoints: list[Waypoint] = [("ideal", bottom[start][0], 0)]
-                for s, across, rank in route:
+                rays.append(bottom[start][0])
+                for s, across in route:
                     curve[w * t + s] = next_id
                     ray, w = across[w]
-                    waypoints.append(("bounce", ray, rank))
+                    rays.append(ray)
                 curve[w * t] = next_id
-                waypoints.append(("ideal", bottom[w][0], 0))
+                rays.append(bottom[w][0])
                 mirror, other = bottom[start][0] % m, bottom[w][0] % m
                 if mirror != other:
                     raise NonClosingBeam(beam.name, (min(mirror, other), max(mirror, other)))
                 self.ideal_members[mirror].append(next_id)
-                self.paths.append((beam.name, copy, tuple(waypoints)))
                 next_id += 1
-                copy += 1
             self.curves.append(curve)
+            self.rays.append(rays)
         self.infinity_id = next_id
         self.n = next_id + 1
+
+    def paths(self) -> tuple[CopyPath, ...]:
+        """Every copy's waypoints, in curve id order, from the recorded rays."""
+        paths: list[CopyPath] = []
+        for beam, rays in zip(self.spec.beams, self.rays):
+            ranks = [event.rank for event in beam.events]
+            # Each copy's waypoint kinds and ranks, in route order.
+            shape = [("ideal", 0)] + [("bounce", rank) for rank in ranks + ranks[-2::-1]] + [("ideal", 0)]
+            size = len(shape)
+            for copy, at in enumerate(range(0, len(rays), size)):
+                waypoints = tuple((kind, ray, rank) for (kind, rank), ray in zip(shape, rays[at : at + size]))
+                paths.append((beam.name, copy, waypoints))
+        return tuple(paths)
 
     def _find_crossings(self):
         """Interleaving segment pairs inside the fundamental wedge.
@@ -305,54 +328,80 @@ class _Expansion:
                     raise SelfCrossingBeam(self.spec.beams[b1].name, s1, s2)
                 self.crossing_pairs.append((b1, s1, b2, s2))
 
-    def arrangement(self) -> ExpandedArrangement:
+    def line_labels(self) -> tuple[LineLabel, ...]:
+        labels: list[LineLabel] = [Mirror(i) for i in range(self.m)]
+        for beam in self.spec.beams:
+            labels.extend(BeamCopy(beam.name, copy) for copy in range(self.m))
+        labels.append(LineAtInfinity())
+        return tuple(labels)
+
+    def _column(self, bi: int, s: int) -> list[int]:
+        """Curve ids of beam bi's segment s in wedges 0..2m-1."""
+        t = len(self.spec.beams[bi].events)
+        return self.curves[bi][s::t]
+
+    def vertex_ids(self) -> list[tuple[int, ...]]:
+        """Every vertex's sorted curve ids, in the order vertex_labels lists
+        their labels: the apex, the bounces by side (bottom first), rank and
+        ray, the ideal points, then the crossings by segment pair and wedge.
+
+        The bounce vertex at (ray, rank) holds the mirror through the ray
+        and, for every beam bouncing at that (side, rank), the copies
+        meeting there from the two wedges the ray separates.  Mirror ids
+        sort before every copy id.  A crossing pair of segments lies in two
+        distinct beams, so its two copies differ.
+
+        Any generation order gives the same vertex_labels: the structure
+        sorts these records, and once it passes validation no two are equal,
+        so the sort has no ties to break.
+        """
         m, nw = self.m, self.nw
-        beams = self.spec.beams
-        sizes = [len(beam.events) for beam in beams]
-
-        line_labels: list[LineLabel] = [Mirror(i) for i in range(m)]
-        for beam in beams:
-            line_labels.extend(BeamCopy(beam.name, copy) for copy in range(m))
-        line_labels.append(LineAtInfinity())
-
-        records: list[tuple[tuple[int, ...], VertexLabel]] = [(tuple(range(m)), Apex())]
-
-        # The bounce vertex at (ray, rank) holds the mirror through the ray
-        # and, for every beam bouncing at that (side, rank), the copies
-        # meeting there from the two wedges the ray separates.  Mirror ids
-        # sort before every copy id.
-        bouncing: dict[tuple[str, int], list[tuple[list[int], int, int]]] = {}
-        for curve, t, beam in zip(self.curves, sizes, beams):
+        ids: list[tuple[int, ...]] = [tuple(range(m))]
+        bouncing: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        for bi, beam in enumerate(self.spec.beams):
             for s, event in enumerate(beam.events):
-                bouncing.setdefault(event.key, []).append((curve, t, s))
-        for ray in range(nw):
-            side = TOP if ray % 2 else BOTTOM
-            left = (ray - 1) % nw
+                bouncing.setdefault(event.key, []).append((bi, s))
+        for side, parity in ((BOTTOM, 0), (TOP, 1)):
+            mirrors = [ray % m for ray in range(parity, nw, 2)]
             for rank in self.ranks[side]:
-                copies = {curve[w * t + s] for curve, t, s in bouncing[side, rank] for w in (ray, left)}
-                records.append(((ray % m, *sorted(copies)), Bounce(ray, rank)))
+                # For each beam, its copies on rays parity, parity + 2, ...
+                # and on the wedges just before those rays.
+                columns = []
+                for bi, s in bouncing[side, rank]:
+                    column = self._column(bi, s)
+                    columns.append(column[parity::2])
+                    columns.append(column[0::2] if parity else column[-1:] + column[1:-1:2])
+                if len(columns) == 2:
+                    ids.extend(
+                        (mi, a, b) if a < b else (mi, b, a) if b < a else (mi, a)
+                        for mi, a, b in zip(mirrors, *columns)
+                    )
+                else:
+                    ids.extend((mi, *sorted(set(copies))) for mi, *copies in zip(mirrors, *columns))
+        ids.extend((mi, *members, self.infinity_id) for mi, members in enumerate(self.ideal_members))
+        for b1, s1, b2, s2 in self.crossing_pairs:
+            ids.extend((a, b) if a < b else (b, a) for a, b in zip(self._column(b1, s1), self._column(b2, s2)))
+        return ids
 
-        for mi, members in enumerate(self.ideal_members):
-            records.append(((mi, *members, self.infinity_id), Ideal(mi)))
+    def vertex_labels(self) -> list[VertexLabel]:
+        """The label of each vertex, in vertex_ids() order."""
+        labels: list[VertexLabel] = [Apex()]
+        for side, parity in ((BOTTOM, 0), (TOP, 1)):
+            for rank in self.ranks[side]:
+                labels.extend(Bounce(ray, rank) for ray in range(parity, self.nw, 2))
+        labels.extend(map(Ideal, range(self.m)))
+        for _ in self.crossing_pairs:
+            labels.extend(map(Crossing, range(self.nw)))
+        return labels
 
-        for w in range(nw):
-            label = Crossing(w)
-            for b1, s1, b2, s2 in self.crossing_pairs:
-                a = self.curves[b1][w * sizes[b1] + s1]
-                b = self.curves[b2][w * sizes[b2] + s2]
-                records.append((tuple(sorted({a, b})), label))
-
-        records.sort(key=itemgetter(0))
-        structure = IncidenceStructure(1, self.n, [ids for ids, _ in records])
+    def arrangement(self) -> ExpandedArrangement:
+        ids = self.vertex_ids()
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        structure = IncidenceStructure(1, self.n, list(map(ids.__getitem__, order)))
         report = validate(structure)
         if not report.valid:
             raise ValidationFailed(report)
-        return ExpandedArrangement(
-            structure=structure,
-            line_labels=tuple(line_labels),
-            vertex_labels=tuple(label for _, label in records),
-            paths=tuple(self.paths),
-        )
+        return ExpandedArrangement(structure, self, order)
 
 
 def _interleave(a1: int, a2: int, b1: int, b2: int, size: int) -> bool:
@@ -381,4 +430,4 @@ def wedge_paths(spec: WedgeSpec) -> list[tuple[str, int, list[Waypoint]]]:
     ExpandedArrangement.paths but with waypoint lists.  Raises the walk's
     errors (NonClosingBeam, SelfCrossingBeam) without validating the
     assembled structure."""
-    return [(name, copy, list(waypoints)) for name, copy, waypoints in _Expansion(spec).paths]
+    return [(name, copy, list(waypoints)) for name, copy, waypoints in _Expansion(spec).paths()]

@@ -1,11 +1,18 @@
 """SVG output tests: well-formedness, element counts, determinism."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acckit import RenderOptions, WedgeSpec, family_wedge, render_arrangement, render_wedge
+from acckit import RenderOptions, WedgeSpec, family_wedge, render, render_arrangement, render_wedge
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -110,3 +117,17 @@ def test_xml_hostile_beam_name_escaped():
     beam = BeamSpec('a"b&c<d', [BounceEvent("T", 1)])
     svg = render_wedge(WedgeSpec(2, (beam,)))
     ET.fromstring(svg)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.text(alphabet="&<>\"'\n\r\tab;#", max_size=12))
+def test_escaping_matches_saxutils(text):
+    assert render._attr(text) == escape(text, {'"': "&quot;"})
+    assert render._quoteattr(text) == quoteattr(text)
+
+
+def test_cli_import_leaves_out_network_modules():
+    probe = "import sys, acckit.cli; print(sorted({'urllib.request', 'http.client', 'email'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(render.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout == "[]\n"

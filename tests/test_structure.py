@@ -50,6 +50,94 @@ def test_constructor_rejects_empty_vertex_and_bad_alpha():
         IncidenceStructure(0, 3, [(0, 1)])
 
 
+def reference_vertices(n, vertices):
+    """The constructor's per-record loop, kept as a reference."""
+    normalized = []
+    for vertex in vertices:
+        ids = sorted(vertex)
+        if not ids:
+            raise ValueError("empty vertex record")
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise ValueError(f"duplicate id {a} within a vertex")
+        if ids[0] < 0 or ids[-1] >= n:
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"curve id {bad} out of range 0..{n - 1}")
+        normalized.append(tuple(ids))
+    return tuple(normalized)
+
+
+def _make(kind, data):
+    if kind == "range":
+        return range(*data)
+    if kind == "generator":
+        return (x for x in data)
+    return {"tuple": tuple, "list": list, "set": set}[kind](data)
+
+
+@st.composite
+def vertex_inputs(draw):
+    """n plus a recipe for a vertex sequence: mostly rising tuples of ids in
+    range, with records of every container kind inserted among them that
+    may be unsorted, repeat ids, hold negative or out-of-range ids, or be
+    empty; the sequence itself is a list, a tuple or a generator."""
+    n = draw(st.integers(0, 8))
+    records = []
+    if n:
+        rising = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        records = [("tuple", sorted(ids)) for ids in draw(st.lists(rising, max_size=8))]
+    messy = st.tuples(
+        st.sampled_from(("tuple", "list", "set", "generator")), st.lists(st.integers(-2, n + 1), max_size=6)
+    )
+    ranges = st.tuples(
+        st.just("range"), st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1), st.sampled_from((1, 2, -1)))
+    )
+    for extra in draw(st.lists(st.one_of(messy, ranges), max_size=draw(st.sampled_from((0, 1, 3))))):
+        records.insert(draw(st.integers(0, len(records))), extra)
+    return n, draw(st.sampled_from(("list", "tuple", "generator"))), records
+
+
+def _built(outer, records):
+    built = [_make(kind, data) for kind, data in records]
+    return {"list": list, "tuple": tuple, "generator": iter}[outer](built)
+
+
+def _construction(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(vertex_inputs())
+def test_constructor_matches_reference_loop(case):
+    n, outer, records = case
+    current = _construction(lambda: IncidenceStructure(1, n, _built(outer, records)).vertices)
+    assert current == _construction(lambda: reference_vertices(n, _built(outer, records)))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[(False, True)], [(0, 1.5)], [(0.5, 1)], [(0, 1), ("a", "b")], [(0, "a")], [(0, 2), (1, 1)], [(1, 2), (0, 3)]],
+)
+def test_constructor_matches_reference_loop_on_odd_ids(vertices):
+    current = _construction(lambda: IncidenceStructure(1, 3, vertices).vertices)
+    assert current == _construction(lambda: reference_vertices(3, vertices))
+
+
+def test_constructor_keeps_normal_tuple():
+    vertices = ((0, 1), (0, 2), (1, 2))
+    assert IncidenceStructure(1, 3, vertices).vertices is vertices
+
+
+def test_violations_are_slotted():
+    violation = PairMultiplicity((0, 1), 2)
+    assert not hasattr(violation, "__dict__")
+    assert repr(violation) == "PairMultiplicity(pair=(0, 1), observed=2)"
+    assert violation == PairMultiplicity((0, 1), 2) and hash(violation) == hash(PairMultiplicity((0, 1), 2))
+
+
 def test_pencil_is_valid():
     s = IncidenceStructure(1, 5, [range(5)])
     report = validate(s)
@@ -304,6 +392,8 @@ def test_validate_matches_seed_algorithm(s):
         IncidenceStructure(2, 5, [(0, 1), (0, 1), (2, 3, 4), (2, 3, 4)]),
         IncidenceStructure(1, 5, [(0, 1, 2), (3,), (0, 1, 2)]),
         structure_from_lines(pg2(3), range(13)),
+        # Row 0 holds n - 1 other ids but misses curve 3.
+        IncidenceStructure(1, 4, [(0, 1, 2), (0, 1), (1, 3), (2, 3)]),
     ],
 )
 def test_validate_matches_seed_algorithm_on_fixtures(s):

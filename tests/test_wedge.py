@@ -2,11 +2,14 @@
 
 import hashlib
 from collections import Counter
+from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acckit.wedge
 from acckit import (
     Apex,
     BeamCopy,
@@ -16,10 +19,12 @@ from acckit import (
     Crossing,
     ExpansionError,
     Ideal,
+    IncidenceStructure,
     LineAtInfinity,
     Mirror,
     NonClosingBeam,
     SelfCrossingBeam,
+    ValidationFailed,
     WedgeSpec,
     compute_stats,
     expand,
@@ -28,6 +33,8 @@ from acckit import (
     validate,
     wedge_paths,
 )
+from acckit.cli import dispatch
+from acckit.wedge import BOTTOM, TOP
 
 
 def test_bounce_event_validation():
@@ -258,3 +265,165 @@ def test_arrangement_paths_match_wedge_paths():
     spec = family_wedge(2)
     paths = expand(spec).paths
     assert [(name, copy, list(points)) for name, copy, points in paths] == wedge_paths(spec)
+
+
+class ReferenceExpansion:
+    """The eager expansion, kept as a reference: one walk per beam copy that
+    builds every waypoint tuple, a set per vertex record, a Bounce or
+    Crossing label per record, and one sort of (ids, label) records."""
+
+    def __init__(self, spec):
+        self.spec, self.m, self.nw = spec, spec.m, 2 * spec.m
+        nw = self.nw
+        self.across = {
+            TOP: [(w | 1, w ^ 1) for w in range(nw)],
+            BOTTOM: [(w, (w - 1) % nw) if w % 2 == 0 else ((w + 1) % nw, (w + 1) % nw) for w in range(nw)],
+        }
+        self.walk()
+        self.find_crossings()
+
+    def walk(self):
+        m, bottom = self.m, self.across[BOTTOM]
+        self.curves, self.paths = [], []
+        self.ideal_members = [[] for _ in range(m)]
+        next_id = m
+        for beam in self.spec.beams:
+            t = len(beam.events)
+            steps = [(self.across[event.side], event.rank) for event in beam.events]
+            route = [(s, *steps[s]) for s in range(t)]
+            route += [(s, *steps[s - 1]) for s in range(t - 1, 0, -1)]
+            curve = [0] * (self.nw * t)
+            copy = 0
+            for start in range(self.nw):
+                if curve[start * t]:
+                    continue
+                w = start
+                waypoints = [("ideal", bottom[start][0], 0)]
+                for s, across, rank in route:
+                    curve[w * t + s] = next_id
+                    ray, w = across[w]
+                    waypoints.append(("bounce", ray, rank))
+                curve[w * t] = next_id
+                waypoints.append(("ideal", bottom[w][0], 0))
+                mirror, other = bottom[start][0] % m, bottom[w][0] % m
+                if mirror != other:
+                    raise NonClosingBeam(beam.name, (min(mirror, other), max(mirror, other)))
+                self.ideal_members[mirror].append(next_id)
+                self.paths.append((beam.name, copy, tuple(waypoints)))
+                next_id += 1
+                copy += 1
+            self.curves.append(curve)
+        self.infinity_id = next_id
+        self.n = next_id + 1
+
+    def find_crossings(self):
+        ranks = {TOP: set(), BOTTOM: set()}
+        for beam in self.spec.beams:
+            for event in beam.events:
+                ranks[event.side].add(event.rank)
+        self.ranks = {side: sorted(found) for side, found in ranks.items()}
+        ideal = len(self.ranks[BOTTOM])
+        position = {(BOTTOM, rank): ideal - 1 - i for i, rank in enumerate(self.ranks[BOTTOM])}
+        position.update(((TOP, rank), ideal + 2 + i) for i, rank in enumerate(self.ranks[TOP]))
+        size = len(position) + 2
+        chords = []
+        for bi, beam in enumerate(self.spec.beams):
+            for s in range(len(beam.events)):
+                start = ideal if s == 0 else position[beam.events[s - 1].key]
+                chords.append((bi, s, start, position[beam.events[s].key]))
+        self.crossing_pairs = []
+        for (b1, s1, a1, a2), (b2, s2, c1, c2) in combinations(chords, 2):
+            if {a1, a2} & {c1, c2}:
+                continue
+            span, p1, p2 = (a2 - a1) % size, (c1 - a1) % size, (c2 - a1) % size
+            if (0 < p1 < span) != (0 < p2 < span):
+                if b1 == b2:
+                    raise SelfCrossingBeam(self.spec.beams[b1].name, s1, s2)
+                self.crossing_pairs.append((b1, s1, b2, s2))
+
+    def arrangement(self):
+        m, nw, beams = self.m, self.nw, self.spec.beams
+        sizes = [len(beam.events) for beam in beams]
+        line_labels = [Mirror(i) for i in range(m)]
+        for beam in beams:
+            line_labels.extend(BeamCopy(beam.name, copy) for copy in range(m))
+        line_labels.append(LineAtInfinity())
+        records = [(tuple(range(m)), Apex())]
+        bouncing = {}
+        for curve, t, beam in zip(self.curves, sizes, beams):
+            for s, event in enumerate(beam.events):
+                bouncing.setdefault(event.key, []).append((curve, t, s))
+        for ray in range(nw):
+            side = TOP if ray % 2 else BOTTOM
+            left = (ray - 1) % nw
+            for rank in self.ranks[side]:
+                copies = {curve[w * t + s] for curve, t, s in bouncing[side, rank] for w in (ray, left)}
+                records.append(((ray % m, *sorted(copies)), Bounce(ray, rank)))
+        for mi, members in enumerate(self.ideal_members):
+            records.append(((mi, *members, self.infinity_id), Ideal(mi)))
+        for w in range(nw):
+            for b1, s1, b2, s2 in self.crossing_pairs:
+                a = self.curves[b1][w * sizes[b1] + s1]
+                b = self.curves[b2][w * sizes[b2] + s2]
+                records.append((tuple(sorted({a, b})), Crossing(w)))
+        records.sort(key=itemgetter(0))
+        structure = IncidenceStructure(1, self.n, [ids for ids, _ in records])
+        report = validate(structure)
+        if not report.valid:
+            raise ValidationFailed(report)
+        vertex_labels = tuple(label for _, label in records)
+        apex = next(len(v) for v, label in zip(structure.vertices, vertex_labels) if isinstance(label, Apex))
+        return structure, tuple(line_labels), vertex_labels, tuple(self.paths), apex
+
+
+def _expansion_outcome(build):
+    try:
+        return build()
+    except ExpansionError as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+
+
+def _compare_with_reference(spec):
+    def current():
+        arr = expand(spec)
+        return arr.structure, arr.line_labels, arr.vertex_labels, arr.paths, arr.apex_degree()
+
+    def reference():
+        return ReferenceExpansion(spec).arrangement()
+
+    assert _expansion_outcome(current) == _expansion_outcome(reference)
+    walked = _expansion_outcome(lambda: [(name, copy, tuple(points)) for name, copy, points in wedge_paths(spec)])
+    assert walked == _expansion_outcome(lambda: list(ReferenceExpansion(spec).paths))
+
+
+@settings(derandomize=True, max_examples=320)
+@given(small_wedges())
+def test_expansion_matches_reference(spec):
+    _compare_with_reference(spec)
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_family_expansion_matches_reference(j):
+    _compare_with_reference(family_wedge(j))
+
+
+def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch, tmp_path):
+    """The CLI reads only curve ids, so it must not build vertex labels."""
+    path = tmp_path / "j2.wedge"
+    assert dispatch(["gen", "family", "--j", "2", "--out", str(path)]) == 0
+    commands = (["audit", "pairs", str(path)], ["expand", str(path)])
+    expected = []
+    for argv in commands:
+        assert dispatch(argv) == 0
+        expected.append(capsys.readouterr())
+
+    def refuse(*args):
+        raise AssertionError("vertex label built")
+
+    monkeypatch.setattr(acckit.wedge, "Bounce", refuse)
+    monkeypatch.setattr(acckit.wedge, "Crossing", refuse)
+    for argv, before in zip(commands, expected):
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == before.out
+    with pytest.raises(AssertionError, match="vertex label built"):
+        expand(family_wedge(2)).vertex_labels
