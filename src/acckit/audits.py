@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .structure import IncidenceStructure, InvalidStructureError, Stats, validate
 
@@ -32,10 +33,10 @@ class SizeLimitExceeded(Exception):
         )
 
 
-def budget_from_env(default: int = DEFAULT_SUBSET_BUDGET) -> int:
+def budget_from_env() -> int:
     value = os.environ.get(BUDGET_ENV_VAR)
     if value is None:
-        return default
+        return DEFAULT_SUBSET_BUDGET
     try:
         budget = int(value)
     except ValueError:
@@ -187,11 +188,8 @@ def audit_dirac(s: IncidenceStructure, budget: int = DEFAULT_SUBSET_BUDGET) -> D
     if not report.valid:
         raise InvalidStructureError(report)
 
-    degrees = [0] * s.n
-    for vertex in s.vertices:
-        for cid in vertex:
-            degrees[cid] += 1
-    g = max(degrees)
+    incidences = Counter(chain.from_iterable(s.vertices))
+    g = max(incidences[cid] for cid in range(s.n))
 
     h, witness = _best_subset_coverage(s, budget)
     hypothesis_holds = h < s.n

@@ -5,15 +5,19 @@ family_wedge(j) builds the wedge of dihedral order 6j+2 whose expansion has
 red and blue, bounce 3j+1 times each; every third blue bounce lands on a red
 bounce point (blue bounce 3i coincides with red bounce i for i <= j).
 
-The rank interleaving for j = 1 was fixed once by exhaustive search over all
-orderings of the base bounce points consistent with the beam structure,
-keeping the unique order whose expansion is a valid alpha = 1 arrangement of
-25 curves with maximum curve degree 10.  Larger cases extend that base
-ordinally: each new red bounce lands strictly closer to the apex than every
-earlier point, blue bounce 3i reuses red bounce i's point, and the two new
-blue bounces (3i-1 and 3i+1, through which the blue beam crosses the red
-extension) slot in together just farther from the apex than red bounce i+1,
-again the unique placement that survives expansion.
+Each bounce point's rank (counted from infinity, rank 1 farthest from the
+apex) has a closed form.  With t = 3j+1 and odd bounces on the top edge:
+
+- blue bounce i has rank ceil(i/2) = (i+1) // 2;
+- red bounce i <= j sits on blue bounce 3i's point, rank ceil(3i/2);
+- red bounce i > j lies beyond every blue point on its edge, in order:
+  rank (t + i%2) // 2 + (i-j-1) // 2 + 1.
+
+For j = 1 this is the unique order, among all interleavings consistent with
+the beam structure, whose expansion is a valid alpha = 1 arrangement of 25
+curves with maximum curve degree 10; for j = 2 the two new blue points
+(5 and 7) have a unique placement that survives expansion.  The tests
+re-derive both by exhaustive search.
 """
 
 from __future__ import annotations
@@ -30,12 +34,6 @@ from .wedge import (
     Mirror,
     WedgeSpec,
 )
-
-# Base bounce-point order for j = 1, farthest from the apex first.
-# Keys: ("r", i) is red bounce i, ("b", i) blue bounce i; blue bounce 3
-# coincides with red bounce 1 and so never appears as its own key.
-_BASE_TOP: tuple[tuple[str, int], ...] = (("b", 1), ("r", 1), ("r", 3))
-_BASE_BOTTOM: tuple[tuple[str, int], ...] = (("b", 2), ("b", 4), ("r", 2), ("r", 4))
 
 
 def reference_family_counts(k: int) -> tuple[int, int]:
@@ -60,46 +58,36 @@ def _side(i: int) -> str:
     return TOP if i % 2 == 1 else BOTTOM
 
 
-def _blue_key(i: int, j: int) -> tuple[str, int]:
-    if i % 3 == 0 and i // 3 <= j:
-        return ("r", i // 3)
-    return ("b", i)
+def family_wedge(j: int) -> WedgeSpec:
+    """Wedge of dihedral order 6j+2 generating the 18j+7 curve arrangement."""
+    if j < 1:
+        raise ValueError(f"family index must be >= 1, got {j}")
+    t = 3 * j + 1
+    red = [(3 * i + 1) // 2 if i <= j else (t + i % 2) // 2 + (i - j - 1) // 2 + 1 for i in range(1, t + 1)]
+    blue = [(i + 1) // 2 for i in range(1, t + 1)]
+    return WedgeSpec(
+        m=6 * j + 2,
+        beams=tuple(
+            BeamSpec(name, [BounceEvent(_side(i), rank) for i, rank in enumerate(ranks, 1)])
+            for name, ranks in (("red", red), ("blue", blue))
+        ),
+    )
 
 
 def family_point_order(j: int) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-    """Bounce-point keys on the top and bottom edge, farthest first."""
-    if j < 1:
-        raise ValueError(f"family index must be >= 1, got {j}")
-    top = list(_BASE_TOP)
-    bottom = list(_BASE_BOTTOM)
-    for i in range(2, j + 1):
-        for idx in (3 * i - 1, 3 * i, 3 * i + 1):
-            lst = top if _side(idx) == TOP else bottom
-            lst.append(("r", idx))
-        # Blue bounce 3i coincides with red bounce i, so the step adds two
-        # blue points, both on red bounce i+1's side.  They land together
-        # just farther from the apex than red bounce i+1, the unique slot
-        # (found by exhaustive search, fixed thereafter) whose expansion
-        # stays a valid arrangement with the right maximum degree.
-        lst = top if _side(3 * i + 1) == TOP else bottom
-        slot = lst.index(("r", i + 1))
-        lst[slot:slot] = [("b", 3 * i - 1), ("b", 3 * i + 1)]
+    """Bounce-point keys on the top and bottom edge, farthest first.
+
+    Keys: ("r", i) is red bounce i, ("b", i) blue bounce i; a point both
+    beams bounce at carries its red key.
+    """
+    red, blue = family_wedge(j).beams
+    points = {}
+    for prefix, beam in (("b", blue), ("r", red)):
+        for i, event in enumerate(beam.events, 1):
+            points[event.key] = (prefix, i)
+    top = [points[key] for key in sorted(points) if key[0] == TOP]
+    bottom = [points[key] for key in sorted(points) if key[0] == BOTTOM]
     return top, bottom
-
-
-def family_wedge(j: int) -> WedgeSpec:
-    """Wedge of dihedral order 6j+2 generating the 18j+7 curve arrangement."""
-    top, bottom = family_point_order(j)
-    rank = {key: pos + 1 for pos, key in enumerate(top)}
-    rank.update({key: pos + 1 for pos, key in enumerate(bottom)})
-
-    t = 3 * j + 1
-    red_events = [BounceEvent(_side(i), rank[("r", i)]) for i in range(1, t + 1)]
-    blue_events = [BounceEvent(_side(i), rank[_blue_key(i, j)]) for i in range(1, t + 1)]
-    return WedgeSpec(
-        m=6 * j + 2,
-        beams=(BeamSpec("red", red_events), BeamSpec("blue", blue_events)),
-    )
 
 
 def per_class_max_degrees(arr: ExpandedArrangement) -> dict[str, int]:

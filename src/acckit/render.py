@@ -2,9 +2,10 @@
 
 Geometry here is presentation only.  Bounce ranks are mapped to radii by
 r_k = R * rho^k with 0 < rho < 1, so larger ranks (closer to the apex) get
-strictly smaller radii; the renderer asserts that monotonicity before
-drawing.  The combinatorics is never touched: rendering reads a wedge,
-expands it when needed, and writes text.
+strictly smaller radii; the renderer checks that monotonicity before
+drawing and raises ValueError where floats cannot keep it.  The
+combinatorics is never touched: rendering reads a wedge, expands it when
+needed, and writes text.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def _check_radius_order(opts: RenderOptions, spec: WedgeSpec) -> None:
     radii = {e.rank: float(opts.radius(e.rank)) for beam in spec.beams for e in beam.events}
     ordered = sorted(radii)
     for a, b in zip(ordered, ordered[1:]):
-        assert radii[a] > radii[b], "radius map must preserve rank order"
+        if not radii[a] > radii[b]:
+            raise ValueError("radius map must preserve rank order")
 
 
 def _svg(opts: RenderOptions, view: str, body: list[str]) -> str:

@@ -219,6 +219,14 @@ class _Expansion:
     """
 
     def __init__(self, spec: WedgeSpec):
+        # A copy entering at even wedge e steps through wedges e..e+2t-1 and
+        # leaves through bottom ray e + 2t, so it closes on a single mirror
+        # exactly when m divides 2t, and then every copy of the beam does.
+        # The first copy walked enters at wedge 0, on mirror 0.
+        for beam in spec.beams:
+            other = 2 * len(beam.events) % spec.m
+            if other:
+                raise NonClosingBeam(beam.name, (0, other))
         self.spec = spec
         self.m = spec.m
         self.nw = nw = 2 * spec.m
@@ -232,12 +240,11 @@ class _Expansion:
         self._find_crossings()
 
     def _walk(self):
-        """Number every beam copy, check closure, and record its rays.
+        """Number every beam copy and record its rays.
 
         Both loose ends of a copy are entry segments, which run parallel to
         the wedge's bottom edge and so reach infinity at the bottom mirror's
-        ideal point.  Both ends must land on the same mirror or the curve
-        fails to close projectively.
+        ideal point; closure, checked up front, puts both on one mirror.
         """
         m, bottom = self.m, self.across[BOTTOM]
         # curves[bi][w * t + s] is the curve id of atom (bi, w, s).
@@ -267,10 +274,7 @@ class _Expansion:
                     rays.append(ray)
                 curve[w * t] = next_id
                 rays.append(bottom[w][0])
-                mirror, other = bottom[start][0] % m, bottom[w][0] % m
-                if mirror != other:
-                    raise NonClosingBeam(beam.name, (min(mirror, other), max(mirror, other)))
-                self.ideal_members[mirror].append(next_id)
+                self.ideal_members[bottom[start][0] % m].append(next_id)
                 next_id += 1
             self.curves.append(curve)
             self.rays.append(rays)
@@ -299,7 +303,8 @@ class _Expansion:
         entry segment starts at the bottom ideal point; no segment ends at
         the top one.  Chords strictly interleaving on this cycle cross once
         inside the wedge; chords sharing an endpoint meet on the boundary
-        instead.
+        instead.  Interleaving does not depend on where the cycle is cut, so
+        with each chord as its (lo, hi) positions it is one comparison.
         """
         ranks: dict[str, set[int]] = {TOP: set(), BOTTOM: set()}
         for beam in self.spec.beams:
@@ -310,20 +315,17 @@ class _Expansion:
         ideal = len(self.ranks[BOTTOM])
         position = {(BOTTOM, rank): ideal - 1 - i for i, rank in enumerate(self.ranks[BOTTOM])}
         position.update(((TOP, rank), ideal + 2 + i) for i, rank in enumerate(self.ranks[TOP]))
-        cycle_size = len(position) + 2
 
-        chords: list[tuple[int, int, int, int]] = []  # (beam, segment, posA, posB)
+        chords: list[tuple[int, int, int, int]] = []  # (beam, segment, lo, hi)
         for bi, beam in enumerate(self.spec.beams):
             for s in range(len(beam.events)):
                 start = ideal if s == 0 else position[beam.events[s - 1].key]
                 end = position[beam.events[s].key]
-                chords.append((bi, s, start, end))
+                chords.append((bi, s, min(start, end), max(start, end)))
 
         self.crossing_pairs: list[tuple[int, int, int, int]] = []
-        for (b1, s1, a1, a2), (b2, s2, c1, c2) in combinations(chords, 2):
-            if {a1, a2} & {c1, c2}:
-                continue
-            if _interleave(a1, a2, c1, c2, cycle_size):
+        for (b1, s1, lo1, hi1), (b2, s2, lo2, hi2) in combinations(chords, 2):
+            if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
                 if b1 == b2:
                     raise SelfCrossingBeam(self.spec.beams[b1].name, s1, s2)
                 self.crossing_pairs.append((b1, s1, b2, s2))
@@ -404,21 +406,13 @@ class _Expansion:
         return ExpandedArrangement(structure, self, order)
 
 
-def _interleave(a1: int, a2: int, b1: int, b2: int, size: int) -> bool:
-    """True when chords {a1,a2} and {b1,b2} strictly separate each other on a
-    cycle of the given size.  All four positions must be distinct."""
-    span = (a2 - a1) % size
-    p1 = (b1 - a1) % size
-    p2 = (b2 - a1) % size
-    return (0 < p1 < span) != (0 < p2 < span)
-
-
 def expand(spec: WedgeSpec) -> ExpandedArrangement:
     """Expand a wedge into the full dihedrally symmetric arrangement.
 
     Deterministic and purely combinatorial.  Raises SelfCrossingBeam when two
     segments of one beam interleave inside a wedge, NonClosingBeam when a
-    pseudoline copy fails to close through a single ideal point, and
+    pseudoline copy fails to close through a single ideal point (exactly
+    when m does not divide 2t for a beam of t bounces), and
     ValidationFailed when the assembled structure is not a genuine alpha = 1
     incidence structure.
     """

@@ -2,6 +2,10 @@
 
 import ast
 import io
+import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -248,6 +252,41 @@ def test_expansion_error_exits_one(capsys, monkeypatch):
     code, _, err = run_cli(["expand", "-"], capsys, bad_wedge, monkeypatch)
     assert code == 1
     assert "close" in err
+
+
+@pytest.mark.parametrize("target", ["wedge", "arrangement"])
+def test_render_rank_underflow_exits_two(capsys, monkeypatch, target):
+    # Both ranks' radii underflow to 0.0 as floats, so the drawing cannot
+    # keep their order; that is an input error, not a crash.
+    wedge = "wedge 1\nm 4\nbeam a T3400 B3401\n"
+    code, out, err = run_cli(["render", target, "-"], capsys, wedge, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: radius map must preserve rank order\n"
+
+
+def test_huge_order_non_closing_wedge_exits_before_allocating(tmp_path):
+    """m = 10^8 with a 3-bounce beam: closure fails (m does not divide 6),
+    which must be found before anything of size m is built.  Address space
+    is capped at 1 GiB so a regression fails with MemoryError instead of
+    exhausting the machine; never run this input without the cap."""
+    path = tmp_path / "huge.wedge"
+    path.write_text("wedge 1\nm 100000000\nbeam a T1 B2 T3\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(acckit.cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "acckit", "expand", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert "close" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_subset_budget_read_only_by_subset_audits(capsys, monkeypatch):

@@ -1,5 +1,6 @@
-"""Family generator tests: the frozen base ordering, its derivation search,
-the induction, and the fixture generators."""
+"""Family generator tests: the closed-form bounce ranks against the
+insertion-based construction and the searches that derive it, the
+induction, and the fixture generators."""
 
 import math
 from itertools import permutations
@@ -98,12 +99,34 @@ def _wedge_from_order(top, bottom, j):
     return WedgeSpec(6 * j + 2, (BeamSpec("red", red), BeamSpec("blue", blue)))
 
 
+def reference_point_order(j):
+    """The family's bounce-point order as first built: the j=1 base found by
+    search, then per step three new red points toward the apex and the two
+    new blue points inserted together just before red bounce i+1."""
+    top = [("b", 1), ("r", 1), ("r", 3)]
+    bottom = [("b", 2), ("b", 4), ("r", 2), ("r", 4)]
+    for i in range(2, j + 1):
+        for idx in (3 * i - 1, 3 * i, 3 * i + 1):
+            (top if idx % 2 else bottom).append(("r", idx))
+        lst = top if (3 * i + 1) % 2 else bottom
+        slot = lst.index(("r", i + 1))
+        lst[slot:slot] = [("b", 3 * i - 1), ("b", 3 * i + 1)]
+    return top, bottom
+
+
+def test_closed_form_matches_insertion_reference():
+    for j in range(1, 201):
+        order = reference_point_order(j)
+        assert family_point_order(j) == order
+        assert family_wedge(j) == _wedge_from_order(*order, j)
+
+
 def test_base_order_is_unique_among_all_interleavings():
     """Re-derive the j=1 bounce order by exhaustive search.
 
     Of the 144 candidate rank interleavings, exactly one expands to a valid
-    arrangement at all, and it is the frozen base: this test keeps the
-    frozen table honest.
+    arrangement at all, and it is the closed form's order: this test keeps
+    the formula honest.
     """
     winners = []
     for top in permutations([("b", 1), ("r", 1), ("r", 3)]):
@@ -125,8 +148,9 @@ def test_blue_extension_slot_is_unique_at_j2():
     """Re-derive the induction's blue placement by exhaustive search.
 
     With the j=1 order fixed, try every insertion slot for the two new blue
-    bounce points of the j=2 wedge; only the frozen choice expands to a
-    valid arrangement of 43 curves with maximum degree 18.
+    bounce points of the j=2 wedge; only one choice expands to a valid
+    arrangement of 43 curves with maximum degree 18, and it is the closed
+    form's.
     """
     base_top = [("b", 1), ("r", 1), ("r", 3), ("r", 5), ("r", 7)]
     bottom = [("b", 2), ("b", 4), ("r", 2), ("r", 4), ("r", 6)]

@@ -1,5 +1,5 @@
 """Layering lint: no module of the package imports or reads another
-module's underscore name."""
+module's underscore name, and none holds an assert statement."""
 
 import ast
 from pathlib import Path
@@ -62,3 +62,15 @@ def test_no_module_uses_another_modules_private_names():
         if uses:
             offenders[path.name] = uses
     assert offenders == {}
+
+
+def test_no_assert_statements_in_package():
+    """Checks in the package raise real exceptions: an assert vanishes under
+    python -O and ends in a traceback rather than an error line."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -155,6 +155,14 @@ def test_non_closing_beam_detected():
     beam = BeamSpec("z", [BounceEvent("T", 1)])
     with pytest.raises(NonClosingBeam):
         expand(WedgeSpec(3, (beam,)))
+    # A beam of t bounces closes exactly when m divides 2t, and the first
+    # beam in order that does not is reported.  m = 6: a closes (6 | 6),
+    # b does not (2t = 4), nor does c (2t = 2).
+    a = BeamSpec("a", [BounceEvent("T", 1), BounceEvent("B", 1), BounceEvent("T", 2)])
+    b = BeamSpec("b", [BounceEvent("T", 3), BounceEvent("B", 2)])
+    with pytest.raises(NonClosingBeam) as caught:
+        expand(WedgeSpec(6, (a, b, BeamSpec("c", [BounceEvent("T", 4)]))))
+    assert (caught.value.beam, caught.value.mirrors) == ("b", (0, 4))
 
 
 def test_validation_failure_on_coincident_beams():
@@ -195,17 +203,17 @@ def test_wedge_paths_bounce_rays_distinct():
 
 
 @st.composite
-def small_wedges(draw):
-    m = draw(st.integers(min_value=2, max_value=5))
-    beam_count = draw(st.integers(min_value=0, max_value=2))
+def small_wedges(draw, max_m=5, max_beams=2, max_bounces=4):
+    m = draw(st.integers(min_value=2, max_value=max_m))
+    beam_count = draw(st.integers(min_value=0, max_value=max_beams))
     beams = []
     for bi in range(beam_count):
-        length = draw(st.integers(min_value=1, max_value=4))
+        length = draw(st.integers(min_value=1, max_value=max_bounces))
         events = []
         used = set()
         for i in range(length):
             side = "T" if i % 2 == 0 else "B"
-            rank = draw(st.integers(min_value=1, max_value=4))
+            rank = draw(st.integers(min_value=1, max_value=max_bounces))
             if (side, rank) in used:
                 break
             used.add((side, rank))
@@ -399,6 +407,14 @@ def _compare_with_reference(spec):
 @settings(derandomize=True, max_examples=320)
 @given(small_wedges())
 def test_expansion_matches_reference(spec):
+    _compare_with_reference(spec)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(small_wedges(max_m=9, max_beams=3, max_bounces=9))
+def test_expansion_matches_reference_on_wider_wedges(spec):
+    """Wrap-around with t > m, closure decided in beam order, and chords of
+    different beams sharing an end."""
     _compare_with_reference(spec)
 
 
