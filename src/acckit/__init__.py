@@ -55,7 +55,6 @@ from .audits import (
     DyadicProfileParams,
     DyadicWindowReport,
     PairIdentityReport,
-    SizeLimitExceeded,
     TkBoundEntry,
     TkBoundsReport,
     audit_dirac,
@@ -64,6 +63,7 @@ from .audits import (
     dichotomy_report,
     dyadic_profile,
 )
+from .limits import SizeLimitExceeded
 from .plane import (
     DuplicateLineId,
     NotPrime,

@@ -9,41 +9,21 @@ the underlying counting argument.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
+from .limits import SizeLimitExceeded, env_budget
 from .structure import IncidenceStructure, InvalidStructureError, Stats, validate
 
 DEFAULT_SUBSET_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "ACCKIT_SUBSET_BUDGET"
 
 
-class SizeLimitExceeded(Exception):
-    """The vertex-subset search space exceeds the configured budget."""
-
-    def __init__(self, subsets: int, budget: int):
-        self.subsets = subsets
-        self.budget = budget
-        super().__init__(
-            f"subset search needs {subsets} evaluations, budget is {budget}; "
-            f"raise {BUDGET_ENV_VAR} or pass a larger budget to proceed"
-        )
-
-
 def budget_from_env() -> int:
-    value = os.environ.get(BUDGET_ENV_VAR)
-    if value is None:
-        return DEFAULT_SUBSET_BUDGET
-    try:
-        budget = int(value)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
-    if budget < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1, got {budget}")
-    return budget
+    """The subset-search budget: ACCKIT_SUBSET_BUDGET, or 10^7 when unset."""
+    return env_budget(BUDGET_ENV_VAR, DEFAULT_SUBSET_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -169,7 +149,12 @@ def _best_subset_coverage(
         return best, witness
     subsets = math.comb(vcount, s.alpha)
     if subsets > budget:
-        raise SizeLimitExceeded(subsets, budget)
+        raise SizeLimitExceeded(
+            subsets,
+            budget,
+            f"subset search needs {subsets} evaluations, budget is {budget}; "
+            f"raise {BUDGET_ENV_VAR} or pass a larger budget to proceed",
+        )
     sets = [frozenset(v) for v in s.vertices]
     best, witness = -1, tuple(range(s.alpha))
     for combo in combinations(range(vcount), s.alpha):

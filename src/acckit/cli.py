@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import audits, formats, render
 from .family import family_wedge, gen_near_pencil, gen_pencil, gen_simple_cyclic
+from .limits import SizeLimitExceeded
 from .plane import NotPrime, pg2, sample_lines, structure_from_lines
 from .structure import IncidenceStructure, InvalidStructureError, compute_stats, validate
 from .wedge import ExpansionError, expand
@@ -285,7 +286,7 @@ def dispatch(argv) -> int:
 
     try:
         code, text = _COMMANDS[args.command](args)
-    except (formats.ParseError, NotPrime, _UsageError, audits.SizeLimitExceeded) as exc:
+    except (formats.ParseError, NotPrime, _UsageError, SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ExpansionError, InvalidStructureError) as exc:

@@ -33,6 +33,7 @@ from .wedge import (
     LineAtInfinity,
     Mirror,
     WedgeSpec,
+    check_expansion_size,
 )
 
 
@@ -59,9 +60,15 @@ def _side(i: int) -> str:
 
 
 def family_wedge(j: int) -> WedgeSpec:
-    """Wedge of dihedral order 6j+2 generating the 18j+7 curve arrangement."""
+    """Wedge of dihedral order 6j+2 generating the 18j+7 curve arrangement.
+
+    Its two beams bounce 6j+2 = m times in all, so its expansion has size
+    m + 2m^2; a j whose expansion the budget refuses is refused here, with
+    SizeLimitExceeded, before any event is built.
+    """
     if j < 1:
         raise ValueError(f"family index must be >= 1, got {j}")
+    check_expansion_size(6 * j + 2, 6 * j + 2)
     t = 3 * j + 1
     red = [(3 * i + 1) // 2 if i <= j else (t + i % 2) // 2 + (i - j - 1) // 2 + 1 for i in range(1, t + 1)]
     blue = [(i + 1) // 2 for i in range(1, t + 1)]

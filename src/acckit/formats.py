@@ -87,11 +87,19 @@ def parse_structure(text: str) -> IncidenceStructure:
     return IncidenceStructure(alpha, n, vertices)
 
 
+class _Names(dict):
+    """Decimal names of ids, each made once, on first use."""
+
+    def __missing__(self, cid: int) -> str:
+        name = self[cid] = str(cid)
+        return name
+
+
 def serialize_structure(s: IncidenceStructure) -> str:
     """Canonical .acc text: vertices sorted lexicographically."""
-    out = [f"acc 1", f"alpha {s.alpha}", f"lines {s.n}"]
-    for vertex in sorted(s.vertices):
-        out.append("v " + " ".join(str(cid) for cid in vertex))
+    names = _Names()
+    out = ["acc 1", f"alpha {s.alpha}", f"lines {s.n}"]
+    out.extend("v " + " ".join(map(names.__getitem__, vertex)) for vertex in sorted(s.vertices))
     return "\n".join(out) + "\n"
 
 

@@ -1,0 +1,33 @@
+"""Work budgets, checked before anything of the budgeted size is built.
+
+A budget is a positive integer cap read from an environment variable.  Work
+whose size, known by closed form in advance, exceeds it is refused with
+SizeLimitExceeded, which the command line reports with exit code 2.
+"""
+
+from __future__ import annotations
+
+import os
+
+
+class SizeLimitExceeded(Exception):
+    """Work refused up front because its size exceeds its budget."""
+
+    def __init__(self, size: int, budget: int, message: str):
+        self.size = size
+        self.budget = budget
+        super().__init__(message)
+
+
+def env_budget(var: str, default: int) -> int:
+    """The budget set in environment variable var, or default when unset."""
+    value = os.environ.get(var)
+    if value is None:
+        return default
+    try:
+        budget = int(value)
+    except ValueError:
+        raise ValueError(f"{var} must be an integer, got {value!r}") from None
+    if budget < 1:
+        raise ValueError(f"{var} must be >= 1, got {budget}")
+    return budget

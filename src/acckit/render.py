@@ -84,12 +84,30 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _check_radius_order(opts: RenderOptions, spec: WedgeSpec) -> None:
-    radii = {e.rank: float(opts.radius(e.rank)) for beam in spec.beams for e in beam.events}
+def _underflow_rank(opts: RenderOptions) -> int:
+    """A rank from which on the radius lies below 2**-1075, so its float is
+    0.0, found from bit lengths: with ratio**c <= 1/2 the radius is at most
+    base * 2**-(rank // c), and base < 2**(len(numerator) -
+    len(denominator) + 1) for bit lengths len."""
+    c, power = 1, opts.radius_ratio
+    while 2 * power.numerator > power.denominator:
+        c, power = 2 * c, power * power
+    base = opts.radius_base
+    return c * (base.numerator.bit_length() - base.denominator.bit_length() + 1 + 1075)
+
+
+def _radii(opts: RenderOptions, spec: WedgeSpec) -> dict[int, float]:
+    """The float radius of every rank the beams bounce at, checked to keep
+    the rank order.  Past the underflow rank it is 0.0 without forming the
+    exact power."""
+    cutoff = _underflow_rank(opts)
+    ranks = {e.rank for beam in spec.beams for e in beam.events}
+    radii = {rank: 0.0 if rank >= cutoff else float(opts.radius(rank)) for rank in ranks}
     ordered = sorted(radii)
     for a, b in zip(ordered, ordered[1:]):
         if not radii[a] > radii[b]:
             raise ValueError("radius map must preserve rank order")
+    return radii
 
 
 def _svg(opts: RenderOptions, view: str, body: list[str]) -> str:
@@ -115,10 +133,10 @@ def render_wedge(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -> str:
     """One wedge: two mirror rays at angle pi/m plus the beam polylines."""
     angle = math.pi / spec.m
     base = float(opts.radius_base)
-    _check_radius_order(opts, spec)
+    radii = _radii(opts, spec)
 
     def point(side: str, rank: int) -> tuple[float, float]:
-        r = float(opts.radius(rank))
+        r = radii[rank]
         if side == "B":
             return (r, 0.0)
         return (r * math.cos(angle), -r * math.sin(angle))
@@ -157,7 +175,7 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
     arrangement = expand(spec)
     m = spec.m
     base = float(opts.radius_base)
-    _check_radius_order(opts, spec)
+    radii = _radii(opts, spec)
 
     circle_r = base * 1.05
 
@@ -168,7 +186,7 @@ def render_arrangement(spec: WedgeSpec, opts: RenderOptions = RenderOptions()) -
         return (circle_r * math.cos(theta), -circle_r * math.sin(theta))
 
     def bounce_point(ray: int, rank: int) -> tuple[float, float]:
-        r = float(opts.radius(rank))
+        r = radii[rank]
         theta = ray_angle(ray)
         return (r * math.cos(theta), -r * math.sin(theta))
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from operator import itemgetter, lt
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,10 @@ class IncidenceStructure:
     The constructor normalizes vertex id order and rejects data that cannot
     describe any structure at all (ids out of range, duplicate ids inside a
     vertex, empty vertices).  A list or tuple of records that are already
-    rising tuples of ints is checked in bulk and kept as it is.  Semantic
-    problems such as wrong pair multiplicities or disconnection are the job
-    of :func:`validate`, which reports them instead of raising.
+    rising tuples of ints is checked in bulk and kept as it is; records that
+    are rising by construction can skip even that through :meth:`trusted`.
+    Semantic problems such as wrong pair multiplicities or disconnection are
+    the job of :func:`validate`, which reports them instead of raising.
     """
 
     alpha: int
@@ -62,6 +63,22 @@ class IncidenceStructure:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "vertices", tuple(normalized))
+
+    @classmethod
+    def trusted(cls, alpha: int, n: int, vertices: Iterable[tuple[int, ...]]) -> "IncidenceStructure":
+        """A structure over records built as rising tuples of int ids within
+        0..n-1, with alpha >= 1 and n >= 0, kept without any check.
+
+        Only for records that hold this by construction, such as those of a
+        wedge expansion; the result equals what the constructor gives for
+        the same records.  Anything read or computed from outside data goes
+        through the constructor.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "alpha", alpha)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "vertices", tuple(vertices))
+        return s
 
     def canonical(self) -> "IncidenceStructure":
         """Same structure with vertices sorted lexicographically."""
@@ -143,7 +160,7 @@ class InvalidStructureError(ValueError):
         super().__init__(f"invalid incidence structure: {summary}")
 
 
-def validate(s: IncidenceStructure) -> ValidationReport:
+def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -> ValidationReport:
     """Check every structure axiom and report all violations found.
 
     Violations are data, not errors; the report is deterministic for a given
@@ -160,6 +177,19 @@ def validate(s: IncidenceStructure) -> ValidationReport:
     pair shares alpha >= 1 vertices, any two curves meet, so the membership
     graph is connected and the component count is skipped.
 
+    automorphism, when given, is a permutation of the curve ids that the
+    caller promises maps the multiset of records onto itself, such as the
+    rotation of a wedge expansion.  Pair multiplicity is then constant along
+    its orbits, so the row of one curve per cycle stands for every row.  For
+    alpha = 1, when every record holds at least two ids and each
+    representative meets every other curve exactly once, every pair meets
+    exactly once; then no two records are equal (they would share a pair
+    twice), every curve lies on a record, and any two curves meet, so the
+    structure is connected.  The report is then valid without the pass over
+    all n rows.  Anything else (another alpha, a small record, a
+    representative row that fails) runs the full pass, so every report of an
+    invalid structure is the same with or without the automorphism.
+
     The structure is immutable, so its report is computed once and kept on
     it; later calls return the same report.
     """
@@ -167,7 +197,42 @@ def validate(s: IncidenceStructure) -> ValidationReport:
         return s._report
     if s.n < 2:
         raise ValueError(f"validation requires at least 2 curves, got {s.n}")
+    if automorphism is not None and _orbit_rows_hold(s, automorphism):
+        report = ValidationReport(valid=True, violations=())
+    else:
+        report = _full_report(s)
+    object.__setattr__(s, "_report", report)
+    return report
 
+
+def _orbit_rows_hold(s: IncidenceStructure, automorphism: Sequence[int]) -> bool:
+    """For alpha = 1: every record holds two or more ids, and the curve
+    starting each cycle of automorphism meets every other curve exactly once
+    (its records hold sum(|v| - 1) = n - 1 other ids and all n ids between
+    them)."""
+    n, vertices = s.n, s.vertices
+    if s.alpha != 1 or min(map(len, vertices), default=0) < 2:
+        return False
+    representatives = []
+    seen = [False] * n
+    for start in range(n):
+        if not seen[start]:
+            representatives.append(start)
+            cid = start
+            while not seen[cid]:
+                seen[cid] = True
+                cid = automorphism[cid]
+    wanted = set(representatives)
+    hit = [vertex for vertex in vertices if not wanted.isdisjoint(vertex)]
+    for i in representatives:
+        records = [vertex for vertex in hit if i in vertex]
+        if sum(map(len, records)) - len(records) != n - 1 or len(set(chain.from_iterable(records))) != n:
+            return False
+    return True
+
+
+def _full_report(s: IncidenceStructure) -> ValidationReport:
+    """Every violation, by one pass over all n rows (see validate)."""
     n, alpha, vertices = s.n, s.alpha, s.vertices
     violations: list[Violation] = [SmallVertex(i) for i, v in enumerate(vertices) if len(v) < 2]
 
@@ -203,9 +268,7 @@ def validate(s: IncidenceStructure) -> ValidationReport:
         if components > 1:
             violations.append(Disconnected(components))
 
-    report = ValidationReport(valid=not violations, violations=tuple(violations))
-    object.__setattr__(s, "_report", report)
-    return report
+    return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
 def _component_count(on: list[list[tuple[int, ...]]]) -> int:

@@ -20,10 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
+from .limits import SizeLimitExceeded, env_budget
 from .structure import IncidenceStructure, ValidationReport, validate
 
 TOP = "T"
 BOTTOM = "B"
+
+EXPAND_BUDGET_ENV_VAR = "ACCKIT_EXPAND_BUDGET"
+DEFAULT_EXPAND_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -156,16 +160,18 @@ class ExpandedArrangement:
     expansion raises instead of returning anything weaker.
     """
 
-    def __init__(self, structure: IncidenceStructure, expansion: _Expansion, order: list[int]):
+    def __init__(self, structure: IncidenceStructure, expansion: _Expansion, ids: list[tuple[int, ...]]):
         self.structure = structure
         self.line_labels: tuple[LineLabel, ...] = expansion.line_labels()
         self._expansion = expansion
-        # structure.vertices[j] is the vertex built order[j]-th.
-        self._order = order
+        # The records in the order they were built; structure.vertices holds
+        # them sorted.
+        self._ids = ids
 
     @cached_property
     def vertex_labels(self) -> tuple[VertexLabel, ...]:
-        return tuple(map(self._expansion.vertex_labels().__getitem__, self._order))
+        order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
+        return tuple(map(self._expansion.vertex_labels().__getitem__, order))
 
     @cached_property
     def paths(self) -> tuple[CopyPath, ...]:
@@ -173,7 +179,7 @@ class ExpandedArrangement:
 
     def apex_degree(self) -> int:
         # The apex is the first vertex built.
-        return len(self.structure.vertices[self._order.index(0)])
+        return len(self._ids[0])
 
 
 class ExpansionError(Exception):
@@ -203,6 +209,22 @@ class ValidationFailed(ExpansionError):
         super().__init__(f"expanded arrangement failed validation with {len(report.violations)} violation(s)")
 
 
+def check_expansion_size(m: int, bounces: int) -> None:
+    """Refuse, before anything is built, an expansion of dihedral order m
+    whose beams bounce `bounces` times in all: it numbers m mirrors and
+    2m * bounces beam atoms, and that size may not exceed the budget set in
+    ACCKIT_EXPAND_BUDGET (default 10^7).  Raises SizeLimitExceeded."""
+    size = m + 2 * m * bounces
+    budget = env_budget(EXPAND_BUDGET_ENV_VAR, DEFAULT_EXPAND_BUDGET)
+    if size > budget:
+        raise SizeLimitExceeded(
+            size,
+            budget,
+            f"expansion needs {size} mirrors and beam atoms, budget is {budget}; "
+            f"raise {EXPAND_BUDGET_ENV_VAR} to proceed",
+        )
+
+
 class _Expansion:
     """Shared machinery behind expand() and wedge_paths().
 
@@ -227,6 +249,7 @@ class _Expansion:
             other = 2 * len(beam.events) % spec.m
             if other:
                 raise NonClosingBeam(beam.name, (0, other))
+        check_expansion_size(spec.m, sum(len(beam.events) for beam in spec.beams))
         self.spec = spec
         self.m = spec.m
         self.nw = nw = 2 * spec.m
@@ -396,14 +419,34 @@ class _Expansion:
             labels.extend(map(Crossing, range(self.nw)))
         return labels
 
+    def rotation(self) -> list[int]:
+        """Curve ids under rotation by two wedge images: mirror i goes to
+        mirror i + 2 mod m, the copy through atom (b, w, s) to the copy
+        through (b, w + 2, s), and the line at infinity stays.
+
+        The reflection tables commute with w -> w + 2, so the copy entering
+        at wedge w is carried onto the one entering at w + 2; reading the
+        entry column (s = 0) of each beam gives the whole map.  Every record
+        vertex_ids builds is indexed by ray or wedge, so the map carries the
+        records onto themselves.
+        """
+        m = self.m
+        image = [(i + 2) % m for i in range(m)] + [self.infinity_id] * (self.n - m)
+        for curve, beam in zip(self.curves, self.spec.beams):
+            entry = curve[:: len(beam.events)]
+            for copy, rotated in zip(entry, entry[2:] + entry[:2]):
+                image[copy] = rotated
+        return image
+
     def arrangement(self) -> ExpandedArrangement:
         ids = self.vertex_ids()
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        structure = IncidenceStructure(1, self.n, list(map(ids.__getitem__, order)))
-        report = validate(structure)
+        # Every record is a rising tuple of ids within 0..n-1 by
+        # construction (see vertex_ids).
+        structure = IncidenceStructure.trusted(1, self.n, sorted(ids))
+        report = validate(structure, self.rotation())
         if not report.valid:
             raise ValidationFailed(report)
-        return ExpandedArrangement(structure, self, order)
+        return ExpandedArrangement(structure, self, ids)
 
 
 def expand(spec: WedgeSpec) -> ExpandedArrangement:
@@ -412,9 +455,15 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     Deterministic and purely combinatorial.  Raises SelfCrossingBeam when two
     segments of one beam interleave inside a wedge, NonClosingBeam when a
     pseudoline copy fails to close through a single ideal point (exactly
-    when m does not divide 2t for a beam of t bounces), and
-    ValidationFailed when the assembled structure is not a genuine alpha = 1
-    incidence structure.
+    when m does not divide 2t for a beam of t bounces), SizeLimitExceeded
+    when the beams close but m + 2m * (total bounces) exceeds the expansion
+    budget (see check_expansion_size), and ValidationFailed when the
+    assembled structure is not a genuine alpha = 1 incidence structure.
+
+    The expansion is symmetric under rotation by two wedge images, so it is
+    validated by rotation orbits (validate given the rotation): one curve
+    per orbit is checked instead of all n.  A failure runs the full check,
+    so ValidationFailed carries the same report either way.
     """
     return _Expansion(spec).arrangement()
 
@@ -422,6 +471,6 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
 def wedge_paths(spec: WedgeSpec) -> list[tuple[str, int, list[Waypoint]]]:
     """Boundary traversals of each pseudoline copy, as in
     ExpandedArrangement.paths but with waypoint lists.  Raises the walk's
-    errors (NonClosingBeam, SelfCrossingBeam) without validating the
-    assembled structure."""
+    errors (NonClosingBeam, SizeLimitExceeded, SelfCrossingBeam) without
+    validating the assembled structure."""
     return [(name, copy, list(waypoints)) for name, copy, waypoints in _Expansion(spec).paths()]

@@ -10,6 +10,7 @@ import time
 import xml.etree.ElementTree as ET
 
 from acckit import (
+    IncidenceStructure,
     audit_dirac,
     audit_pair_identity,
     audit_tk_bounds,
@@ -69,6 +70,10 @@ def test_family_counts():
         s = arr.structure
         assert s.alpha == 1
         assert validate(s).valid
+        # Expansion validates by rotation orbits; a fresh copy of the
+        # records takes the full pass, so the counts below do not rest on
+        # the shortcut alone.
+        assert validate(IncidenceStructure(1, s.n, list(s.vertices))).valid
         stats = compute_stats(s)
         n = s.n
         assert n == 18 * j + 7

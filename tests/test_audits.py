@@ -153,8 +153,12 @@ def test_dirac_witness_is_lexicographically_least():
 
 def test_dirac_budget_exceeded():
     s = IncidenceStructure(2, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded) as caught:
         audit_dirac(s, budget=3)
+    assert str(caught.value) == (
+        "subset search needs 6 evaluations, budget is 3; raise ACCKIT_SUBSET_BUDGET or pass a larger budget to proceed"
+    )
+    assert (caught.value.size, caught.value.budget) == (6, 3)
 
 
 def test_pair_identity_examples():

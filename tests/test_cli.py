@@ -264,29 +264,72 @@ def test_render_rank_underflow_exits_two(capsys, monkeypatch, target):
     assert err == "error: radius map must preserve rank order\n"
 
 
-def test_huge_order_non_closing_wedge_exits_before_allocating(tmp_path):
-    """m = 10^8 with a 3-bounce beam: closure fails (m does not divide 6),
-    which must be found before anything of size m is built.  Address space
-    is capped at 1 GiB so a regression fails with MemoryError instead of
-    exhausting the machine; never run this input without the cap."""
-    path = tmp_path / "huge.wedge"
-    path.write_text("wedge 1\nm 100000000\nbeam a T1 B2 T3\n")
+def run_capped(argv):
+    """Run the CLI in a subprocess with address space capped at 1 GiB and
+    time at 60 s, so that a regression fails with MemoryError or a timeout
+    instead of exhausting the machine."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = {**os.environ, "PYTHONPATH": str(Path(acckit.cli.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "acckit", "expand", str(path)],
+    env.pop("ACCKIT_EXPAND_BUDGET", None)
+    return subprocess.run(
+        [sys.executable, "-m", "acckit", *argv],
         capture_output=True,
         text=True,
         env=env,
         preexec_fn=cap,
         timeout=60,
     )
+
+
+def test_huge_order_non_closing_wedge_exits_before_allocating(tmp_path):
+    """m = 10^8 with a 3-bounce beam: closure fails (m does not divide 6),
+    which must be found before anything of size m is built.  Never run this
+    input without the cap."""
+    path = tmp_path / "huge.wedge"
+    path.write_text("wedge 1\nm 100000000\nbeam a T1 B2 T3\n")
+    result = run_capped(["expand", str(path)])
     assert result.returncode == 1
     assert "close" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["expand", "{wedge}"], ["stats", "{wedge}"], ["validate", "{wedge}"], ["gen", "family", "--j", "100000000"]],
+)
+def test_oversized_expansion_refused_before_allocating(tmp_path, argv):
+    """The beamless m = 10^8 wedge and family j = 10^8 exceed the default
+    expansion budget, which is checked by closed form before anything is
+    built.  Never run these inputs without the cap."""
+    path = tmp_path / "beamless.wedge"
+    path.write_text("wedge 1\nm 100000000\n")
+    result = run_capped([arg.format(wedge=path) for arg in argv])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: expansion needs ")
+    assert "raise ACCKIT_EXPAND_BUDGET to proceed" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_expand_budget_from_env(capsys, monkeypatch):
+    # Family j = 1: m = 8 mirrors and 2 * 8 * 8 beam atoms.
+    _, wedge_text, _ = run_cli(["gen", "family", "--j", "1"], capsys)
+    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "136")
+    assert run_cli(["audit", "pairs", "-"], capsys, wedge_text, monkeypatch)[:2] == (0, "CHECK pairs holds 300/300\n")
+    assert run_cli(["gen", "family", "--j", "1"], capsys)[:2] == (0, wedge_text)
+    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "135")
+    refusal = "error: expansion needs 136 mirrors and beam atoms, budget is 135; raise ACCKIT_EXPAND_BUDGET to proceed\n"
+    assert run_cli(["expand", "-"], capsys, wedge_text, monkeypatch) == (2, "", refusal)
+    assert run_cli(["gen", "family", "--j", "1"], capsys) == (2, "", refusal)
+    for value, fragment in (("x", "must be an integer, got 'x'"), ("0", "must be >= 1, got 0")):
+        monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", value)
+        code, out, err = run_cli(["stats", "-"], capsys, wedge_text, monkeypatch)
+        assert (code, out, err) == (2, "", f"error: ACCKIT_EXPAND_BUDGET {fragment}\n")
+    # Closure is decided first, so a non-closing beam still exits 1.
+    code, _, err = run_cli(["expand", "-"], capsys, "wedge 1\nm 3\nbeam z T1\n", monkeypatch)
+    assert code == 1 and "close" in err
 
 
 def test_subset_budget_read_only_by_subset_audits(capsys, monkeypatch):

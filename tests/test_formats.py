@@ -142,3 +142,33 @@ def test_wedge_parse_errors(text, fragment):
 def test_wedge_comments_allowed():
     text = "# family base\nwedge 1\nm 8\nbeam red T2 B3 T3 B4\nbeam blue T1 B1 T2 B2\n"
     assert parse_wedge(text) == family_wedge(1)
+
+
+def reference_serialize(s):
+    """The writer before ids were named once each, kept as a reference."""
+    out = ["acc 1", f"alpha {s.alpha}", f"lines {s.n}"]
+    for vertex in sorted(s.vertices):
+        out.append("v " + " ".join(str(cid) for cid in vertex))
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def wide_structures(draw):
+    """Any records the constructor accepts, over n up to 2000 so that ids
+    have one to four digits, including size-1 records and no records."""
+    n = draw(st.integers(min_value=0, max_value=2000))
+    records = st.sets(st.integers(0, n - 1), min_size=1, max_size=6)
+    vertices = draw(st.lists(records, max_size=12)) if n else []
+    return IncidenceStructure(draw(st.integers(1, 3)), n, vertices)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(wide_structures())
+def test_serialize_matches_reference_writer(s):
+    assert serialize_structure(s) == reference_serialize(s)
+
+
+def test_serialize_names_only_the_ids_in_use():
+    s = IncidenceStructure(1, 10**12, [(0, 999_999_999_999), (1, 2)])
+    assert serialize_structure(s) == reference_serialize(s)
+    assert serialize_structure(IncidenceStructure(2, 10**12, [])) == "acc 1\nalpha 2\nlines 1000000000000\n"

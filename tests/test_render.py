@@ -131,3 +131,52 @@ def test_cli_import_leaves_out_network_modules():
     env = {**os.environ, "PYTHONPATH": str(Path(render.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "base, ratio",
+    [
+        (100, Fraction(4, 5)),
+        (1, Fraction(1, 2)),
+        (Fraction(1, 3), Fraction(99, 100)),
+        (10**30, Fraction(2, 3)),
+        (Fraction(1, 2**1100), Fraction(1, 2)),
+    ],
+)
+def test_underflow_rank_is_where_floats_are_zero(base, ratio):
+    """From the underflow rank on, the exact radius rounds to 0.0, so taking
+    0.0 there without forming it changes no output; and the bound is within
+    a factor 2 of the first rank that rounds to 0.0."""
+    opts = RenderOptions(radius_base=base, radius_ratio=ratio)
+    cutoff = render._underflow_rank(opts)
+    if cutoff > 0:
+        assert float(opts.radius(cutoff)) == 0.0
+        assert float(opts.radius(cutoff // 2)) > 0.0
+    else:
+        assert float(opts.radius_base) == 0.0
+
+
+@pytest.mark.parametrize("target", ["wedge", "arrangement"])
+def test_render_far_rank_finishes(tmp_path, target):
+    """A rank of 10^9 renders at radius 0.0 instead of forming the exact
+    power 4/5 ** 10^9.  Address space is capped at 1 GiB and time at 60 s;
+    never run this input without the cap."""
+    path = tmp_path / "far.wedge"
+    path.write_text("wedge 1\nm 2\nbeam a T1000000000\n")
+
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(render.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "acckit", "render", target, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert _count(result.stdout, "polyline", "beam") == (1 if target == "wedge" else 2)

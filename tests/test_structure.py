@@ -398,3 +398,51 @@ def test_validate_matches_seed_algorithm(s):
 )
 def test_validate_matches_seed_algorithm_on_fixtures(s):
     assert validate(s) == seed_validate(s)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(messy_structures())
+def test_validate_with_identity_rotation_matches_seed_algorithm(s):
+    """The identity is an automorphism of every structure, and each curve is
+    its own orbit, so the shortcut checks every row; a valid report must
+    then be right and anything else must come from the full pass."""
+    assert validate(s, list(range(s.n))) == seed_validate(s)
+
+
+def _cyclic(n, vertices):
+    """A structure on Z_n closed under i -> i + 1, with that rotation."""
+    records = {tuple(sorted((cid + shift) % n for cid in v)) for v in vertices for shift in range(n)}
+    return IncidenceStructure(1, n, sorted(records)), [(cid + 1) % n for cid in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, base",
+    [
+        (7, [(0, 1, 3)]),  # the Fano plane as a cyclic difference set
+        (13, [(0, 1, 3, 9)]),  # PG(2, 3)
+        (6, [(0, 1), (0, 2), (0, 3)]),  # every pair
+        (6, [(0, 1), (0, 2)]),  # pairs at distance 3 missing
+        (7, [(0, 1, 3), (0, 1)]),  # pairs at distance 1 twice
+        (8, [(0, 4), (0, 1)]),  # some pairs missing, one orbit of size 4
+        (7, [(0, 1, 2)]),  # each row holds n - 1 other ids, meeting two curves twice
+        (5, [(0,)]),  # small vertices only
+        (7, [(0, 1, 3), (0,)]),  # the Fano plane plus a small vertex per curve
+    ],
+)
+def test_validate_with_cyclic_rotation_matches_seed_algorithm(n, base):
+    s, rotation = _cyclic(n, base)
+    assert validate(s, rotation) == seed_validate(IncidenceStructure(1, n, s.vertices))
+
+
+def test_orbit_shortcut_reads_one_row_per_cycle(monkeypatch):
+    s, rotation = _cyclic(7, [(0, 1, 3)])
+    monkeypatch.setattr("acckit.structure._full_report", None)
+    assert validate(s, rotation) == ValidationReport(valid=True, violations=())
+
+
+def test_trusted_constructor_keeps_records():
+    vertices = [(0, 1), (0, 2), (1, 2)]
+    s = IncidenceStructure.trusted(1, 3, vertices)
+    assert s.vertices == tuple(vertices)
+    assert s == IncidenceStructure(1, 3, vertices)
+    assert validate(s).valid

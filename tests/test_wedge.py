@@ -443,3 +443,81 @@ def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch
         assert capsys.readouterr().out == before.out
     with pytest.raises(AssertionError, match="vertex label built"):
         expand(family_wedge(2)).vertex_labels
+
+
+def is_automorphism(s, rotation):
+    """The explicit check the orbit shortcut relies on: rotation permutes
+    the curve ids and maps the multiset of records onto itself."""
+    if sorted(rotation) != list(range(s.n)):
+        return False
+    images = Counter(tuple(sorted(rotation[cid] for cid in vertex)) for vertex in s.vertices)
+    return images == Counter(s.vertices)
+
+
+def _expand_recording(spec):
+    """Expand spec; return the outcome, every (structure, rotation, report)
+    that expansion passed to and got from validate, and how many full
+    validation passes ran."""
+    calls, full = [], []
+    real_validate, real_full_report = acckit.wedge.validate, acckit.structure._full_report
+
+    def recording(s, rotation=None):
+        report = real_validate(s, rotation)
+        calls.append((s, rotation, report))
+        return report
+
+    def counting(s):
+        full.append(s)
+        return real_full_report(s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acckit.wedge, "validate", recording)
+        patch.setattr(acckit.structure, "_full_report", counting)
+        outcome = _expansion_outcome(lambda: expand(spec).structure)
+    return outcome, calls, len(full)
+
+
+def _check_orbit_validation(spec):
+    """The rotation expansion hands to validate is an automorphism, the
+    report equals the full pass on a fresh copy, and the full pass ran
+    during expansion exactly when the structure is invalid."""
+    outcome, calls, full_passes = _expand_recording(spec)
+    assert len(calls) <= 1
+    for s, rotation, report in calls:
+        assert rotation is not None
+        assert is_automorphism(s, rotation)
+        assert report == validate(IncidenceStructure(1, s.n, list(s.vertices)))
+        assert (outcome is s) == report.valid
+    assert full_passes == (len(calls) == 1 and not calls[0][2].valid)
+    return calls
+
+
+@settings(derandomize=True, max_examples=400)
+@given(small_wedges(max_m=9, max_beams=3, max_bounces=9))
+def test_orbit_validation_matches_full_validation(spec):
+    _check_orbit_validation(spec)
+
+
+@pytest.mark.parametrize("j", [*range(1, 17), 32, 64])
+def test_family_orbit_validation_matches_full_validation(j):
+    calls = _check_orbit_validation(family_wedge(j))
+    assert len(calls) == 1 and calls[0][2].valid
+
+
+def test_valid_expansions_skip_the_full_pass():
+    for spec in (WedgeSpec(2), *map(family_wedge, (1, 2, 5, 16))):
+        assert _expand_recording(spec)[2] == 0
+    red = BeamSpec("red", [BounceEvent("T", 1), BounceEvent("B", 1)])
+    blue = BeamSpec("blue", [BounceEvent("T", 1), BounceEvent("B", 1)])
+    assert _expand_recording(WedgeSpec(4, (red, blue)))[2] == 1
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_trusted_and_checked_constructors_agree(j):
+    s = expand(family_wedge(j)).structure
+    checked = IncidenceStructure(1, s.n, list(s.vertices))
+    assert s == checked
+    assert hash(s) == hash(checked)
+    assert IncidenceStructure.trusted(1, s.n, iter(s.vertices)) == checked
+    assert type(s.vertices) is tuple
+
