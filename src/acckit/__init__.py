@@ -31,17 +31,8 @@ from .wedge import (
     ValidationFailed,
     WedgeSpec,
     expand,
-    wedge_paths,
 )
-from .family import (
-    family_point_order,
-    family_wedge,
-    gen_near_pencil,
-    gen_pencil,
-    gen_simple_cyclic,
-    per_class_max_degrees,
-    reference_family_counts,
-)
+from .family import family_wedge, gen_near_pencil, gen_pencil, gen_simple_cyclic
 from .formats import (
     ParseError,
     parse_structure,

@@ -214,9 +214,7 @@ class DyadicProfileParams:
 
     gamma is a rational in [0, 1); v a non-negative integer.  The window is
     [2^v * floor(n^gamma), floor(n / 2^v)] with n^gamma computed as an exact
-    integer root.  Derivations from exponent triples (delta, epsilon, zeta)
-    use gamma = max(delta/epsilon, zeta); the exponents themselves drive no
-    assertion and are kept only as documentation of where gamma came from.
+    integer root.
     """
 
     gamma: Fraction
@@ -229,17 +227,6 @@ class DyadicProfileParams:
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
         if self.v < 0:
             raise ValueError(f"v must be >= 0, got {self.v}")
-
-    @classmethod
-    def from_exponents(cls, delta, epsilon, zeta, v: int) -> "DyadicProfileParams":
-        delta, epsilon, zeta = Fraction(delta), Fraction(epsilon), Fraction(zeta)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not (0 <= delta < epsilon / 2):
-            raise ValueError("need 0 <= delta < epsilon/2")
-        if not (0 <= zeta < Fraction(1, 2)):
-            raise ValueError("need 0 <= zeta < 1/2")
-        return cls(gamma=max(delta / epsilon, zeta), v=v)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ format from its header: a .wedge input is expanded on the fly, so
 "acckit gen family --j 1 | acckit stats" works directly.
 
 Exit codes: 0 when everything requested holds, 1 when a check fails or a
-structure is invalid, 2 for usage or input errors.
+structure is invalid, 2 for usage or input errors and unwritable output.
 """
 
 from __future__ import annotations
@@ -51,11 +51,18 @@ def _detect_structure(text: str) -> IncidenceStructure:
 
 
 def _emit(out_path: str | None, text: str):
-    if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text to out_path, or to stdout for None or "-"; stdout is
+    flushed so that a failed write is reported here, not at exit."""
+    try:
+        if out_path and out_path != "-":
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            out_path = "stdout"
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _fraction(value: str) -> Fraction:
@@ -286,6 +293,7 @@ def dispatch(argv) -> int:
 
     try:
         code, text = _COMMANDS[args.command](args)
+        _emit(args.out, text)
     except (formats.ParseError, NotPrime, _UsageError, SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -295,8 +303,6 @@ def dispatch(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    _emit(args.out, text)
     return code
 
 

@@ -18,40 +18,19 @@ the beam structure, whose expansion is a valid alpha = 1 arrangement of 25
 curves with maximum curve degree 10; for j = 2 the two new blue points
 (5 and 7) have a unique placement that survives expansion.  The tests
 re-derive both by exhaustive search.
+
+The fixture generators size their output by closed form first (n curves
+for the pencils, C(n, 2) vertices for the simple arrangement) and refuse a
+size over the budget with SizeLimitExceeded (see limits.check_size).
 """
 
 from __future__ import annotations
 
-from .structure import IncidenceStructure, compute_stats
-from .wedge import (
-    BOTTOM,
-    TOP,
-    BeamCopy,
-    BeamSpec,
-    BounceEvent,
-    ExpandedArrangement,
-    LineAtInfinity,
-    Mirror,
-    WedgeSpec,
-    check_expansion_size,
-)
+import math
 
-
-def reference_family_counts(k: int) -> tuple[int, int]:
-    """Curve count and maximum curve degree of the earlier known dihedral
-    family at parameter k: 6k+7 curves, none on more than 3k+2 vertices for
-    even k (3k+3 for odd k).
-
-    Recorded for comparison only; that family's wedge is known just
-    pictorially, so there is no generator for it here.  The family built by
-    :func:`family_wedge` caps the degree lower, at (4n-10)/9 instead of
-    roughly n/2.
-    """
-    if k < 0:
-        raise ValueError(f"parameter must be >= 0, got {k}")
-    curves = 6 * k + 7
-    max_degree = 3 * k + 2 if k % 2 == 0 else 3 * k + 3
-    return curves, max_degree
+from .limits import check_size
+from .structure import IncidenceStructure
+from .wedge import BOTTOM, TOP, BeamSpec, BounceEvent, WedgeSpec, check_expansion_size
 
 
 def _side(i: int) -> str:
@@ -81,48 +60,11 @@ def family_wedge(j: int) -> WedgeSpec:
     )
 
 
-def family_point_order(j: int) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-    """Bounce-point keys on the top and bottom edge, farthest first.
-
-    Keys: ("r", i) is red bounce i, ("b", i) blue bounce i; a point both
-    beams bounce at carries its red key.
-    """
-    red, blue = family_wedge(j).beams
-    points = {}
-    for prefix, beam in (("b", blue), ("r", red)):
-        for i, event in enumerate(beam.events, 1):
-            points[event.key] = (prefix, i)
-    top = [points[key] for key in sorted(points) if key[0] == TOP]
-    bottom = [points[key] for key in sorted(points) if key[0] == BOTTOM]
-    return top, bottom
-
-
-def per_class_max_degrees(arr: ExpandedArrangement) -> dict[str, int]:
-    """Maximum curve degree per symmetry class of an expanded arrangement.
-
-    Mirrors split by index parity, which for even dihedral order separates
-    the two mirror symmetry classes (even mirrors carry the bottom-edge
-    images, odd mirrors the top-edge images).
-    """
-    stats = compute_stats(arr.structure)
-    maxima: dict[str, int] = {}
-    for cid, label in enumerate(arr.line_labels):
-        if isinstance(label, Mirror):
-            key = "mirror-even" if label.index % 2 == 0 else "mirror-odd"
-        elif isinstance(label, LineAtInfinity):
-            key = "infinity"
-        elif isinstance(label, BeamCopy):
-            key = label.beam
-        degree = stats.curve_degrees[cid]
-        if degree > maxima.get(key, -1):
-            maxima[key] = degree
-    return maxima
-
-
 def gen_pencil(n: int) -> IncidenceStructure:
     """All n curves through one point."""
     if n < 3:
         raise ValueError(f"pencil needs n >= 3, got {n}")
+    check_size("pencil", n, "curves")
     return IncidenceStructure(1, n, [range(n)])
 
 
@@ -130,6 +72,7 @@ def gen_near_pencil(n: int) -> IncidenceStructure:
     """n-1 concurrent curves plus one transversal meeting each separately."""
     if n < 3:
         raise ValueError(f"near-pencil needs n >= 3, got {n}")
+    check_size("near-pencil", n, "curves")
     vertices = [tuple(range(n - 1))]
     vertices.extend((i, n - 1) for i in range(n - 1))
     return IncidenceStructure(1, n, vertices)
@@ -139,5 +82,6 @@ def gen_simple_cyclic(n: int) -> IncidenceStructure:
     """Simple arrangement: every pair of curves crosses at its own point."""
     if n < 3:
         raise ValueError(f"simple arrangement needs n >= 3, got {n}")
+    check_size("simple arrangement", math.comb(n, 2), "vertices")
     vertices = [(i, k) for i in range(n) for k in range(i + 1, n)]
     return IncidenceStructure(1, n, vertices)

@@ -84,7 +84,8 @@ def parse_structure(text: str) -> IncidenceStructure:
             raise ParseError(number, f"curve id {bad} out of range 0..{n - 1}")
         vertices.append(tuple(ids))
 
-    return IncidenceStructure(alpha, n, vertices)
+    # Every record was checked above: at least 2 int ids, rising, in range.
+    return IncidenceStructure.trusted(alpha, n, vertices)
 
 
 class _Names(dict):

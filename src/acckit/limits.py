@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import os
 
+EXPAND_BUDGET_ENV_VAR = "ACCKIT_EXPAND_BUDGET"
+DEFAULT_EXPAND_BUDGET = 10_000_000
+
 
 class SizeLimitExceeded(Exception):
     """Work refused up front because its size exceeds its budget."""
@@ -31,3 +34,16 @@ def env_budget(var: str, default: int) -> int:
     if budget < 1:
         raise ValueError(f"{var} must be >= 1, got {budget}")
     return budget
+
+
+def check_size(what: str, size: int, units: str) -> None:
+    """Refuse `what`, which would build `size` units, when size exceeds the
+    budget set in ACCKIT_EXPAND_BUDGET (default 10^7), the cap on every
+    expansion and generated structure.  Raises SizeLimitExceeded."""
+    budget = env_budget(EXPAND_BUDGET_ENV_VAR, DEFAULT_EXPAND_BUDGET)
+    if size > budget:
+        raise SizeLimitExceeded(
+            size,
+            budget,
+            f"{what} needs {size} {units}, budget is {budget}; raise {EXPAND_BUDGET_ENV_VAR} to proceed",
+        )

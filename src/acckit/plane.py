@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .limits import check_size
 from .structure import IncidenceStructure
 
 Triple = tuple[int, int, int]
@@ -45,12 +46,13 @@ class ProjectivePlane:
     points: tuple[Triple, ...]
     lines: tuple[Triple, ...]
 
-    def incident(self, point: Triple, line: Triple) -> bool:
-        return (point[0] * line[0] + point[1] * line[1] + point[2] * line[2]) % self.p == 0
-
 
 def pg2(p: int) -> ProjectivePlane:
-    """The projective plane over the p-element field, p prime."""
+    """The projective plane over the p-element field, p prime.
+
+    Its p^2+p+1 points are sized first, so a p whose plane exceeds the size
+    budget is refused with SizeLimitExceeded before any primality test."""
+    check_size(f"PG(2, {p})", p * p + p + 1, "points")
     if not _is_prime(p):
         raise NotPrime(p)
     triples = sorted(

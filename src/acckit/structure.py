@@ -69,20 +69,16 @@ class IncidenceStructure:
         """A structure over records built as rising tuples of int ids within
         0..n-1, with alpha >= 1 and n >= 0, kept without any check.
 
-        Only for records that hold this by construction, such as those of a
-        wedge expansion; the result equals what the constructor gives for
-        the same records.  Anything read or computed from outside data goes
-        through the constructor.
+        Only for records known to hold this already: by construction, as in
+        a wedge expansion, or by the checks made while reading them, as in
+        parse_structure.  The result equals what the constructor gives for
+        the same records; anything else goes through the constructor.
         """
         s = object.__new__(cls)
         object.__setattr__(s, "alpha", alpha)
         object.__setattr__(s, "n", n)
         object.__setattr__(s, "vertices", tuple(vertices))
         return s
-
-    def canonical(self) -> "IncidenceStructure":
-        """Same structure with vertices sorted lexicographically."""
-        return IncidenceStructure(self.alpha, self.n, sorted(self.vertices))
 
 
 def _already_normal(vertices: list | tuple, n: int) -> bool:
@@ -312,13 +308,7 @@ class Stats:
 
     tk: dict[int, int]
     r: int
-    curve_degrees: tuple[int, ...]
-    vertex_degrees: tuple[int, ...]
     ld: dict[int, int]
-
-    def tk_total_weighted(self) -> int:
-        """Sum of tk[k] * C(k, 2); equals alpha * C(n, 2) on valid input."""
-        return sum(count * math.comb(k, 2) for k, count in self.tk.items())
 
     def ld_total(self) -> int:
         """Sum of all ld values; equals C(n, 2) on valid input."""
@@ -326,7 +316,7 @@ class Stats:
 
 
 def compute_stats(s: IncidenceStructure) -> Stats:
-    """Compute tk, r, degree sequences, and the pair-minimum-degree profile.
+    """Compute tk, r and the pair-minimum-degree profile.
 
     Rejects invalid structures with :class:`InvalidStructureError`.  For
     alpha = 1 each pair lies in exactly one vertex, so l_d has the closed
@@ -337,26 +327,19 @@ def compute_stats(s: IncidenceStructure) -> Stats:
     if not report.valid:
         raise InvalidStructureError(report)
 
-    vertex_degrees = tuple(map(len, s.vertices))
     incidences = Counter(chain.from_iterable(s.vertices))
-    curve_degrees = tuple(incidences[cid] for cid in range(s.n))
-    tk: Counter[int] = Counter(vertex_degrees)
+    tk: Counter[int] = Counter(map(len, s.vertices))
 
     if s.alpha == 1:
         ld = {d: count * math.comb(d, 2) for d, count in tk.items()}
     else:
         pair_min: dict[tuple[int, int], int] = {}
-        for vertex, degree in zip(s.vertices, vertex_degrees):
+        for vertex in s.vertices:
+            degree = len(vertex)
             for pair in combinations(vertex, 2):
                 prev = pair_min.get(pair)
                 if prev is None or degree < prev:
                     pair_min[pair] = degree
         ld = Counter(pair_min.values())
 
-    return Stats(
-        tk=dict(sorted(tk.items())),
-        r=max(curve_degrees),
-        curve_degrees=curve_degrees,
-        vertex_degrees=vertex_degrees,
-        ld=dict(sorted(ld.items())),
-    )
+    return Stats(tk=dict(sorted(tk.items())), r=max(incidences.values()), ld=dict(sorted(ld.items())))

@@ -20,14 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .limits import SizeLimitExceeded, env_budget
+from .limits import check_size
 from .structure import IncidenceStructure, ValidationReport, validate
 
 TOP = "T"
 BOTTOM = "B"
-
-EXPAND_BUDGET_ENV_VAR = "ACCKIT_EXPAND_BUDGET"
-DEFAULT_EXPAND_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -214,19 +211,11 @@ def check_expansion_size(m: int, bounces: int) -> None:
     whose beams bounce `bounces` times in all: it numbers m mirrors and
     2m * bounces beam atoms, and that size may not exceed the budget set in
     ACCKIT_EXPAND_BUDGET (default 10^7).  Raises SizeLimitExceeded."""
-    size = m + 2 * m * bounces
-    budget = env_budget(EXPAND_BUDGET_ENV_VAR, DEFAULT_EXPAND_BUDGET)
-    if size > budget:
-        raise SizeLimitExceeded(
-            size,
-            budget,
-            f"expansion needs {size} mirrors and beam atoms, budget is {budget}; "
-            f"raise {EXPAND_BUDGET_ENV_VAR} to proceed",
-        )
+    check_size("expansion", m + 2 * m * bounces, "mirrors and beam atoms")
 
 
 class _Expansion:
-    """Shared machinery behind expand() and wedge_paths().
+    """The machinery behind expand().
 
     Beam segment s in wedge image w is the atom (beam, w, s).  Bouncing off
     an edge reflects the wedge index across that edge's ray: a top bounce
@@ -467,10 +456,3 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     """
     return _Expansion(spec).arrangement()
 
-
-def wedge_paths(spec: WedgeSpec) -> list[tuple[str, int, list[Waypoint]]]:
-    """Boundary traversals of each pseudoline copy, as in
-    ExpandedArrangement.paths but with waypoint lists.  Raises the walk's
-    errors (NonClosingBeam, SizeLimitExceeded, SelfCrossingBeam) without
-    validating the assembled structure."""
-    return [(name, copy, list(waypoints)) for name, copy, waypoints in _Expansion(spec).paths()]

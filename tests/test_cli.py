@@ -332,6 +332,71 @@ def test_expand_budget_from_env(capsys, monkeypatch):
     assert code == 1 and "close" in err
 
 
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["gen", "pencil", "--n", "1000000000"], "pencil needs 1000000000 curves"),
+        (["gen", "near-pencil", "--n", "1000000000"], "near-pencil needs 1000000000 curves"),
+        (["gen", "simple", "--n", "100000"], "simple arrangement needs 4999950000 vertices"),
+        (["gen", "pg2", "--p", "1000003", "--n", "3"], "PG(2, 1000003) needs 1000007000013 points"),
+    ],
+)
+def test_oversized_generators_refused_before_allocating(argv, needs):
+    """Each generator sizes its output by closed form (n, n, C(n, 2) and
+    p^2+p+1) and refuses it over the default budget before building
+    anything; pg2 does so before testing p for primality.  Never run these
+    inputs without the cap."""
+    result = run_capped(argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {needs}, budget is 10000000; raise ACCKIT_EXPAND_BUDGET to proceed\n"
+
+
+def test_generator_budget_from_env(capsys, monkeypatch):
+    cases = [
+        (["gen", "pencil", "--n", "5"], "pencil needs 5 curves"),
+        (["gen", "near-pencil", "--n", "5"], "near-pencil needs 5 curves"),
+        (["gen", "simple", "--n", "5"], "simple arrangement needs 10 vertices"),
+        (["gen", "pg2", "--p", "3", "--all"], "PG(2, 3) needs 13 points"),
+    ]
+    for argv, needs in cases:
+        size = int(needs.split()[-2])
+        monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", str(size))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "") and out.startswith("acc 1\n")
+        monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", str(size - 1))
+        refusal = f"error: {needs}, budget is {size - 1}; raise ACCKIT_EXPAND_BUDGET to proceed\n"
+        assert run_cli(argv, capsys) == (2, "", refusal)
+    # Size comes before primality: PG(2, 4) would have 21 points.
+    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "20")
+    refusal = "error: PG(2, 4) needs 21 points, budget is 20; raise ACCKIT_EXPAND_BUDGET to proceed\n"
+    assert run_cli(["gen", "pg2", "--p", "4", "--all"], capsys) == (2, "", refusal)
+    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "21")
+    assert run_cli(["gen", "pg2", "--p", "4", "--all"], capsys) == (2, "", "error: p must be prime, got 4\n")
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_write_error_exits_two(capsys, tmp_path, target):
+    path = tmp_path / "no" / "x.acc" if target == "missing directory" else tmp_path
+    code, out, err = run_cli(["gen", "pencil", "--n", "4", "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: [Errno ")
+    assert err.endswith(f"'{path}'\n") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["gen", "pencil", "--n", "4"], ["gen", "simple", "--n", "300"]])
+def test_stdout_write_error_exits_two(argv):
+    """A failed write to stdout, small or larger than any buffer, is an
+    error line and exit 2, not a traceback at the write or at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(acckit.cli.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "acckit", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+        )
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 def test_subset_budget_read_only_by_subset_audits(capsys, monkeypatch):
     monkeypatch.setenv("ACCKIT_SUBSET_BUDGET", "x")
     code, out, _ = run_cli(["audit", "pairs", "-"], capsys, PENCIL3, monkeypatch)

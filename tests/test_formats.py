@@ -13,6 +13,8 @@ from acckit import (
     serialize_structure,
     serialize_wedge,
 )
+from acckit.formats import _header_int, _parse_int, _significant_lines
+from test_structure import canonical
 
 TRIANGLE = "acc 1\nalpha 1\nlines 3\nv 0 1\nv 0 2\nv 1 2\n"
 
@@ -97,7 +99,7 @@ def structures(draw):
 def test_round_trip_any_structure(s):
     text = serialize_structure(s)
     back = parse_structure(text)
-    assert back.canonical() == s.canonical()
+    assert back == canonical(s)
     assert serialize_structure(back) == text
 
 
@@ -172,3 +174,96 @@ def test_serialize_names_only_the_ids_in_use():
     s = IncidenceStructure(1, 10**12, [(0, 999_999_999_999), (1, 2)])
     assert serialize_structure(s) == reference_serialize(s)
     assert serialize_structure(IncidenceStructure(2, 10**12, [])) == "acc 1\nalpha 2\nlines 1000000000000\n"
+
+
+def reference_parse_structure(text):
+    """The .acc parser as it was before it built through the trusted
+    constructor: the same line-by-line checks, then the checked constructor."""
+    lines = list(_significant_lines(text))
+    if not lines:
+        raise ParseError(1, "empty input, expected 'acc 1' header")
+    number, header = lines[0]
+    if header != "acc 1":
+        raise ParseError(number, f"bad header {header!r}, expected 'acc 1'")
+    number, alpha = _header_int(lines, 1, "alpha", "alpha")
+    if alpha < 1:
+        raise ParseError(number, f"alpha must be >= 1, got {alpha}")
+    number, n = _header_int(lines, 2, "lines", "line count")
+    if n < 0:
+        raise ParseError(number, f"line count must be >= 0, got {n}")
+    vertices = []
+    for number, line in lines[3:]:
+        tokens = line.split()
+        if tokens[0] != "v":
+            raise ParseError(number, f"expected vertex line 'v <id> ...', got {line!r}")
+        ids = [_parse_int(tok, number, "curve id") for tok in tokens[1:]]
+        if len(ids) < 2:
+            raise ParseError(number, "vertex must contain at least 2 curve ids")
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise ParseError(number, f"duplicate id {a} within vertex")
+            if a > b:
+                raise ParseError(number, "vertex ids must be strictly increasing")
+        if ids[0] < 0 or ids[-1] >= n:
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ParseError(number, f"curve id {bad} out of range 0..{n - 1}")
+        vertices.append(tuple(ids))
+    return IncidenceStructure(alpha, n, vertices)
+
+
+@st.composite
+def acc_texts(draw):
+    """.acc text that is mostly well formed: rising records over 0..n-1,
+    with now and then a bad header, alpha or count, a comment, a blank or
+    CRLF line, an out-of-range, repeated, unsorted or non-integer id, a
+    record of fewer than 2 ids, or a line that is not a record."""
+    n = draw(st.integers(2, 12))
+    header = ["acc 1", f"alpha {draw(st.integers(1, 3))}", f"lines {n}"]
+    fault = draw(st.sampled_from([None] * 6 + ["alpha", "count", "short", "header"]))
+    if fault == "alpha":
+        header[1] = f"alpha {draw(st.sampled_from([0, -1, 'a']))}"
+    elif fault == "count":
+        header[2] = f"lines {draw(st.sampled_from([-1, 0, 1, 'x']))}"
+    elif fault == "short":
+        header = header[:2]
+    elif fault == "header":
+        header[0] = "acc 2"
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        ids = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=4)))
+        fault = draw(st.sampled_from([None] * 24 + ["range", "repeat", "order", "token", "short", "word"]))
+        if fault == "range":
+            ids[draw(st.sampled_from([0, -1]))] = draw(st.sampled_from([-1, n, n + 5]))
+        elif fault == "repeat":
+            ids.insert(1, ids[0])
+        elif fault == "order":
+            ids.reverse()
+        tokens = list(map(str, ids))
+        if fault == "token":
+            tokens[-1] = draw(st.sampled_from(["x", "1.5", "--2", "0x1"]))
+        elif fault == "short":
+            tokens = tokens[:1]
+        records.append(("w " if fault == "word" else "v ") + " ".join(tokens))
+    lines = []
+    for line in header + records:
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=1)))
+        lines.append(line + draw(st.sampled_from(["", "", "", "\r", "  "])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line, exc.cause
+
+
+@settings(derandomize=True, max_examples=400)
+@given(acc_texts())
+def test_parse_matches_checked_constructor(text):
+    """Every text that parses gives the structure the checked constructor
+    gives, and every other text the same ParseError line and message."""
+    outcome = _parse_outcome(parse_structure, text)
+    assert outcome == _parse_outcome(reference_parse_structure, text)
+    if isinstance(outcome, IncidenceStructure):
+        assert all(type(vertex) is tuple and set(map(type, vertex)) == {int} for vertex in outcome.vertices)

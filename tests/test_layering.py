@@ -1,7 +1,11 @@
 """Layering lint: no module of the package imports or reads another
-module's underscore name, and none holds an assert statement."""
+module's underscore name, and none holds an assert statement; the package
+exports exactly its allowlist, and only expansion and parsing build
+structures without the constructor's checks."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import acckit
@@ -74,3 +78,54 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# What the CLI, the README and the paper's claims use, and nothing else.
+PUBLIC_NAMES = {
+    "Apex", "BeamCopy", "BeamSpec", "Bounce", "BounceEvent", "Crossing", "DichotomyReport",
+    "DiracAuditReport", "Disconnected", "DuplicateLineId", "DuplicateVertex", "DyadicProfileParams",
+    "DyadicWindowReport", "ExpandedArrangement", "ExpansionError", "Ideal", "IncidenceStructure",
+    "InvalidStructureError", "LineAtInfinity", "Mirror", "NonClosingBeam", "NotPrime",
+    "PairIdentityReport", "PairMultiplicity", "ParseError", "ProjectivePlane", "RenderOptions",
+    "SelfCrossingBeam", "SizeLimitExceeded", "SmallVertex", "Stats", "TkBoundEntry", "TkBoundsReport",
+    "UnusedCurve", "ValidationFailed", "ValidationReport", "WedgeSpec", "audit_dirac",
+    "audit_pair_identity", "audit_tk_bounds", "compute_stats", "dichotomy_report", "dyadic_profile",
+    "expand", "family_wedge", "gen_near_pencil", "gen_pencil", "gen_simple_cyclic", "parse_structure",
+    "parse_wedge", "pg2", "render_arrangement", "render_wedge", "sample_lines", "serialize_structure",
+    "serialize_wedge", "splitmix64", "structure_from_lines", "validate",
+}
+# Names that only tests used; their references live in the tests now.
+REMOVED_NAMES = (
+    "wedge_paths", "family_point_order", "per_class_max_degrees", "reference_family_counts",
+    "from_exponents", "tk_total_weighted", "curve_degrees", "vertex_degrees", "incident", "canonical",
+)
+
+
+def test_public_names_are_the_allowlist():
+    public = {
+        name
+        for name, value in vars(acckit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES
+    modules = [importlib.import_module(f"acckit.{path.stem}") for path in sorted(PACKAGE.glob("*.py"))]
+    holders = modules + [getattr(acckit, name) for name in sorted(PUBLIC_NAMES) if isinstance(getattr(acckit, name), type)]
+    left = [
+        (holder.__name__, name)
+        for holder in holders
+        for name in REMOVED_NAMES
+        if hasattr(holder, name) or name in getattr(holder, "__dataclass_fields__", {})
+    ]
+    assert left == []
+
+
+def test_only_expansion_and_parsing_build_trusted_structures():
+    """IncidenceStructure.trusted skips every record check, so only code
+    whose records are checked or rising by construction may call it."""
+    callers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "trusted"
+    ]
+    assert callers == ["formats.py", "wedge.py"]

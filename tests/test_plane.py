@@ -23,6 +23,11 @@ from acckit import (
 )
 
 
+def incident(plane, point, line):
+    """A point lies on a line when their dot product vanishes mod p."""
+    return (point[0] * line[0] + point[1] * line[1] + point[2] * line[2]) % plane.p == 0
+
+
 def brute_force_plane(p):
     """All projective points as frozensets of scalar multiples, plus the
     incidence-by-dot-product relation."""
@@ -88,7 +93,7 @@ def test_two_lines_meet_exactly_once(p):
             common = sum(
                 1
                 for pt in plane.points
-                if plane.incident(pt, plane.lines[i]) and plane.incident(pt, plane.lines[j])
+                if incident(plane, pt, plane.lines[i]) and incident(plane, pt, plane.lines[j])
             )
             assert common == 1
 
@@ -112,7 +117,7 @@ def test_concurrent_lines_make_a_pencil():
     plane = pg2(5)
     # Lines through the point (0, 0, 1): dot product zero means z-coefficient 0.
     target = (0, 0, 1)
-    ids = [i for i, line in enumerate(plane.lines) if plane.incident(target, line)][:3]
+    ids = [i for i, line in enumerate(plane.lines) if incident(plane, target, line)][:3]
     s = structure_from_lines(plane, ids)
     stats = compute_stats(s)
     assert stats.r == 1
@@ -181,7 +186,7 @@ def point_scan_structure(plane, ids):
     chosen = [plane.lines[i] for i in ids]
     vertices = []
     for point in plane.points:
-        members = [i for i, line in enumerate(chosen) if plane.incident(point, line)]
+        members = [i for i, line in enumerate(chosen) if incident(plane, point, line)]
         if len(members) >= 2:
             vertices.append(tuple(members))
     return IncidenceStructure(1, len(ids), vertices)

@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter, deque
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +20,24 @@ from acckit import (
     compute_stats,
     family_wedge,
     expand,
+    parse_structure,
     pg2,
+    serialize_structure,
     structure_from_lines,
     validate,
 )
+
+
+def curve_degrees(s):
+    """Number of vertices on each curve, by curve id."""
+    incidences = Counter(chain.from_iterable(s.vertices))
+    return tuple(incidences[cid] for cid in range(s.n))
+
+
+def canonical(s):
+    """The structure with its vertices sorted lexicographically, the order
+    in which serialize_structure writes them."""
+    return IncidenceStructure(s.alpha, s.n, sorted(s.vertices))
 
 
 def test_constructor_sorts_vertex_ids():
@@ -206,15 +220,16 @@ def test_stats_simple_cyclic_n4():
     stats = compute_stats(IncidenceStructure(1, 4, vertices))
     assert stats.tk == {2: 6}
     assert stats.r == 3
-    assert stats.curve_degrees == (3, 3, 3, 3)
+    assert curve_degrees(IncidenceStructure(1, 4, vertices)) == (3, 3, 3, 3)
     assert stats.ld == {2: 6}
 
 
 def test_stats_near_pencil_degrees():
     vertices = [tuple(range(5))] + [(i, 5) for i in range(5)]
-    stats = compute_stats(IncidenceStructure(1, 6, vertices))
-    assert stats.r == 5
-    assert sorted(stats.vertex_degrees, reverse=True) == [5, 2, 2, 2, 2, 2]
+    s = IncidenceStructure(1, 6, vertices)
+    stats = compute_stats(s)
+    assert stats.r == 5 == max(curve_degrees(s))
+    assert sorted(map(len, s.vertices), reverse=True) == [5, 2, 2, 2, 2, 2]
     assert stats.tk == {2: 5, 5: 1}
     # Pairs inside the pencil see the degree-5 vertex; pairs with the
     # transversal see their own crossing.
@@ -230,9 +245,9 @@ def test_stats_identities_on_fixtures():
     ]
     for s in fixtures:
         stats = compute_stats(s)
-        assert stats.tk_total_weighted() == s.alpha * math.comb(s.n, 2)
+        assert sum(count * math.comb(k, 2) for k, count in stats.tk.items()) == s.alpha * math.comb(s.n, 2)
         assert stats.ld_total() == math.comb(s.n, 2)
-        assert stats.r == max(stats.curve_degrees)
+        assert stats.r == max(curve_degrees(s))
 
 
 def test_compute_stats_rejects_invalid():
@@ -251,7 +266,8 @@ def test_ld_takes_minimum_common_vertex_degree():
 
 def test_canonical_sorts_vertices():
     s = IncidenceStructure(1, 3, [(1, 2), (0, 1), (0, 2)])
-    assert s.canonical().vertices == ((0, 1), (0, 2), (1, 2))
+    assert canonical(s).vertices == ((0, 1), (0, 2), (1, 2))
+    assert parse_structure(serialize_structure(s)) == canonical(s)
 
 
 def test_report_is_kept_and_stays_out_of_equality():

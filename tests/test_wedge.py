@@ -31,10 +31,17 @@ from acckit import (
     family_wedge,
     serialize_structure,
     validate,
-    wedge_paths,
 )
 from acckit.cli import dispatch
 from acckit.wedge import BOTTOM, TOP
+
+
+def wedge_paths(spec):
+    """Every copy's waypoints from the reflection walk alone, as lists:
+    raises the walk's errors (NonClosingBeam, SizeLimitExceeded,
+    SelfCrossingBeam) and never validates the assembled structure, so it
+    also reaches wedges whose expansion is invalid."""
+    return [(name, copy, list(waypoints)) for name, copy, waypoints in acckit.wedge._Expansion(spec).paths()]
 
 
 def test_bounce_event_validation():
@@ -184,7 +191,7 @@ def test_beam_copy_count_is_m_per_beam():
 
 def test_wedge_paths_shape():
     spec = family_wedge(1)
-    paths = wedge_paths(spec)
+    paths = expand(spec).paths
     assert len(paths) == 16
     for name, copy, waypoints in paths:
         assert waypoints[0][0] == "ideal"
@@ -197,7 +204,7 @@ def test_wedge_paths_shape():
 
 
 def test_wedge_paths_bounce_rays_distinct():
-    for name, copy, waypoints in wedge_paths(family_wedge(1)):
+    for name, copy, waypoints in expand(family_wedge(1)).paths:
         rays = [ray for kind, ray, _ in waypoints if kind == "bounce"]
         assert len(set(rays)) == len(rays)
 
@@ -240,9 +247,9 @@ def test_expansion_never_returns_invalid(spec):
     assert len(arr.vertex_labels) == len(arr.structure.vertices)
 
 
-# sha256 over the canonical .acc, line labels, vertex labels and wedge_paths
-# of family member j, each followed by a NUL byte, as produced by the
-# original union-find expansion.
+# sha256 over the canonical .acc, line labels, vertex labels and the paths
+# (each copy's waypoints as a list) of family member j, each followed by a
+# NUL byte, as produced by the original union-find expansion.
 FAMILY_GOLDEN = {
     1: "e030a47c18a0cac4a2c0f6d3771d3e848346e51239b408f7b2af693c82677f27",
     2: "0b80e267540de3a0502f95b167c485f7477cdd106f8b8fad98deb6dfad8ccd3d",
@@ -262,7 +269,7 @@ def test_family_expansion_golden(j):
         serialize_structure(arr.structure),
         repr(arr.line_labels),
         repr(arr.vertex_labels),
-        repr(wedge_paths(spec)),
+        repr([(name, copy, list(waypoints)) for name, copy, waypoints in arr.paths]),
     ):
         digest.update(part.encode())
         digest.update(b"\0")
