@@ -64,6 +64,6 @@ from .plane import (
     splitmix64,
     structure_from_lines,
 )
-from .render import RenderOptions, render_arrangement, render_wedge
+from .render import render_arrangement, render_wedge
 
 __version__ = "0.1.0"

@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .limits import SizeLimitExceeded, env_budget
+from .limits import check_size
 from .structure import IncidenceStructure, InvalidStructureError, Stats, validate
-
-DEFAULT_SUBSET_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "ACCKIT_SUBSET_BUDGET"
-
-
-def budget_from_env() -> int:
-    """The subset-search budget: ACCKIT_SUBSET_BUDGET, or 10^7 when unset."""
-    return env_budget(BUDGET_ENV_VAR, DEFAULT_SUBSET_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -132,29 +124,26 @@ class DiracAuditReport:
     binom_margin: int
 
 
-def _best_subset_coverage(
-    s: IncidenceStructure, budget: int
-) -> tuple[int, tuple[int, ...]]:
+def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     """Max curves adjacent to all vertices of an alpha-subset, with the
-    lexicographically least witness subset (vertex indices)."""
+    lexicographically least witness subset (vertex indices).
+
+    The C(vertices, alpha) subsets are refused over the budget set in
+    ACCKIT_SUBSET_BUDGET (default 10^7) with SizeLimitExceeded.  The scan
+    for alpha = 1 is not capped, but the variable is read for it too, so a
+    malformed value is refused on every structure."""
     vcount = len(s.vertices)
     if vcount < s.alpha:
         # Valid structures always carry at least alpha vertices.
         raise ValueError(f"structure has {vcount} vertices, fewer than alpha={s.alpha}")
+    subsets = math.comb(vcount, s.alpha) if s.alpha > 1 else 0
+    check_size("subset search", subsets, "evaluations", "ACCKIT_SUBSET_BUDGET")
     if s.alpha == 1:
         best, witness = -1, (0,)
         for index, vertex in enumerate(s.vertices):
             if len(vertex) > best:
                 best, witness = len(vertex), (index,)
         return best, witness
-    subsets = math.comb(vcount, s.alpha)
-    if subsets > budget:
-        raise SizeLimitExceeded(
-            subsets,
-            budget,
-            f"subset search needs {subsets} evaluations, budget is {budget}; "
-            f"raise {BUDGET_ENV_VAR} or pass a larger budget to proceed",
-        )
     sets = [frozenset(v) for v in s.vertices]
     best, witness = -1, tuple(range(s.alpha))
     for combo in combinations(range(vcount), s.alpha):
@@ -168,7 +157,7 @@ def _best_subset_coverage(
     return best, witness
 
 
-def audit_dirac(s: IncidenceStructure, budget: int = DEFAULT_SUBSET_BUDGET) -> DiracAuditReport:
+def audit_dirac(s: IncidenceStructure) -> DiracAuditReport:
     report = validate(s)
     if not report.valid:
         raise InvalidStructureError(report)
@@ -176,7 +165,7 @@ def audit_dirac(s: IncidenceStructure, budget: int = DEFAULT_SUBSET_BUDGET) -> D
     incidences = Counter(chain.from_iterable(s.vertices))
     g = max(incidences[cid] for cid in range(s.n))
 
-    h, witness = _best_subset_coverage(s, budget)
+    h, witness = _best_subset_coverage(s)
     hypothesis_holds = h < s.n
     binom = math.comb(g, s.alpha) * h
     return DiracAuditReport(
@@ -309,19 +298,15 @@ class DichotomyReport:
     vertex_ratio: Fraction
 
 
-def dichotomy_report(
-    s: IncidenceStructure,
-    fraction,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> DichotomyReport:
-    fraction = Fraction(fraction)
-    if not (0 < fraction <= 1):
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+def dichotomy_report(s: IncidenceStructure, fraction) -> DichotomyReport:
     report = validate(s)
     if not report.valid:
         raise InvalidStructureError(report)
+    fraction = Fraction(fraction)
+    if not (0 < fraction <= 1):
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
 
-    coverage, witness = _best_subset_coverage(s, budget)
+    coverage, witness = _best_subset_coverage(s)
     vertex_count = len(s.vertices)
 
     complete = vertex_count == s.alpha and all(len(v) == s.n for v in s.vertices)

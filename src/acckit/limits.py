@@ -1,7 +1,8 @@
 """Work budgets, checked before anything of the budgeted size is built.
 
-A budget is a positive integer cap read from an environment variable.  Work
-whose size, known by closed form in advance, exceeds it is refused with
+A budget is a positive integer cap read from an environment variable,
+10^7 when unset; this module is the only code that reads one.  Work whose
+size, known by closed form in advance, exceeds it is refused with
 SizeLimitExceeded, which the command line reports with exit code 2.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import os
 
 EXPAND_BUDGET_ENV_VAR = "ACCKIT_EXPAND_BUDGET"
-DEFAULT_EXPAND_BUDGET = 10_000_000
+_DEFAULT_BUDGET = 10_000_000
 
 
 class SizeLimitExceeded(Exception):
@@ -22,11 +23,11 @@ class SizeLimitExceeded(Exception):
         super().__init__(message)
 
 
-def env_budget(var: str, default: int) -> int:
-    """The budget set in environment variable var, or default when unset."""
+def _env_budget(var: str) -> int:
+    """The budget set in environment variable var, or 10^7 when unset."""
     value = os.environ.get(var)
     if value is None:
-        return default
+        return _DEFAULT_BUDGET
     try:
         budget = int(value)
     except ValueError:
@@ -36,14 +37,11 @@ def env_budget(var: str, default: int) -> int:
     return budget
 
 
-def check_size(what: str, size: int, units: str) -> None:
-    """Refuse `what`, which would build `size` units, when size exceeds the
-    budget set in ACCKIT_EXPAND_BUDGET (default 10^7), the cap on every
-    expansion and generated structure.  Raises SizeLimitExceeded."""
-    budget = env_budget(EXPAND_BUDGET_ENV_VAR, DEFAULT_EXPAND_BUDGET)
+def check_size(what: str, size: int, units: str, var: str = EXPAND_BUDGET_ENV_VAR) -> None:
+    """Refuse `what`, which would build or evaluate `size` units, when size
+    exceeds the budget set in environment variable var: by default
+    ACCKIT_EXPAND_BUDGET, the cap on every expansion and generated
+    structure.  Raises SizeLimitExceeded."""
+    budget = _env_budget(var)
     if size > budget:
-        raise SizeLimitExceeded(
-            size,
-            budget,
-            f"{what} needs {size} {units}, budget is {budget}; raise {EXPAND_BUDGET_ENV_VAR} to proceed",
-        )
+        raise SizeLimitExceeded(size, budget, f"{what} needs {size} {units}, budget is {budget}; raise {var} to proceed")

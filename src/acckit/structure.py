@@ -201,11 +201,16 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
     return report
 
 
+def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
+    """For alpha = 1: the records on a curve hold sum(|v| - 1) = n - 1 other
+    ids and all n ids between them, so the curve meets every other curve
+    exactly once."""
+    return sum(map(len, records)) - len(records) == n - 1 and len(set(chain.from_iterable(records))) == n
+
+
 def _orbit_rows_hold(s: IncidenceStructure, automorphism: Sequence[int]) -> bool:
     """For alpha = 1: every record holds two or more ids, and the curve
-    starting each cycle of automorphism meets every other curve exactly once
-    (its records hold sum(|v| - 1) = n - 1 other ids and all n ids between
-    them)."""
+    starting each cycle of automorphism meets every other curve exactly once."""
     n, vertices = s.n, s.vertices
     if s.alpha != 1 or min(map(len, vertices), default=0) < 2:
         return False
@@ -221,8 +226,7 @@ def _orbit_rows_hold(s: IncidenceStructure, automorphism: Sequence[int]) -> bool
     wanted = set(representatives)
     hit = [vertex for vertex in vertices if not wanted.isdisjoint(vertex)]
     for i in representatives:
-        records = [vertex for vertex in hit if i in vertex]
-        if sum(map(len, records)) - len(records) != n - 1 or len(set(chain.from_iterable(records))) != n:
+        if not _meets_each_once([vertex for vertex in hit if i in vertex], n):
             return False
     return True
 
@@ -247,9 +251,8 @@ def _full_report(s: IncidenceStructure) -> ValidationReport:
 
     pairs_hold = True
     for i, records in enumerate(on):
-        if alpha == 1 and sum(map(len, records)) - len(records) == n - 1:
-            if len(set(chain.from_iterable(records))) == n:
-                continue
+        if alpha == 1 and _meets_each_once(records, n):
+            continue
         row = Counter(chain.from_iterable(records))
         if list(row.values()).count(alpha) - (row[i] == alpha) == n - 1:
             continue

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from acckit import (
     DyadicProfileParams,
     IncidenceStructure,
+    InvalidStructureError,
     SizeLimitExceeded,
     audit_dirac,
     audit_pair_identity,
@@ -151,13 +152,12 @@ def test_dirac_witness_is_lexicographically_least():
     assert report.witness_subset == (0,)
 
 
-def test_dirac_budget_exceeded():
+def test_dirac_budget_exceeded(monkeypatch):
     s = IncidenceStructure(2, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    monkeypatch.setenv("ACCKIT_SUBSET_BUDGET", "3")
     with pytest.raises(SizeLimitExceeded) as caught:
-        audit_dirac(s, budget=3)
-    assert str(caught.value) == (
-        "subset search needs 6 evaluations, budget is 3; raise ACCKIT_SUBSET_BUDGET or pass a larger budget to proceed"
-    )
+        audit_dirac(s)
+    assert str(caught.value) == "subset search needs 6 evaluations, budget is 3; raise ACCKIT_SUBSET_BUDGET to proceed"
     assert (caught.value.size, caught.value.budget) == (6, 3)
 
 
@@ -292,6 +292,12 @@ def test_dichotomy_fraction_validation():
         dichotomy_report(gen_pencil(5), Fraction(0))
     with pytest.raises(ValueError):
         dichotomy_report(gen_pencil(5), Fraction(3, 2))
+
+
+def test_dichotomy_validates_before_fraction():
+    invalid = IncidenceStructure(1, 3, [(0, 1), (0, 1, 2)])
+    with pytest.raises(InvalidStructureError):
+        dichotomy_report(invalid, Fraction(3, 2))
 
 
 def test_audits_are_pure():

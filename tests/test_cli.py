@@ -436,6 +436,21 @@ def test_audit_error_precedence(capsys, monkeypatch, text, argv, budget, code, f
     assert fragment in err
 
 
+def test_stats_audits_report_invalid_structure_first(capsys, monkeypatch):
+    """The audits that read stats report an invalid structure (exit 1);
+    dyadic reports it ahead of its bad parameters (exit 2).
+    test_audit_error_precedence covers dirac and dichotomy."""
+    commands = (
+        ["audit", "thm3", "-"],
+        ["audit", "pairs", "-"],
+        ["audit", "dyadic", "-", "--gamma", "3/2", "--v", "-1"],
+    )
+    for argv in commands:
+        code, out, err = run_cli(argv, capsys, INVALID, monkeypatch)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: invalid incidence structure"), argv
+
+
 def _bench_cli_hooks() -> list[str]:
     """acckit.cli attributes that the traced benchmark wraps (bench/spans.py PATCHES)."""
     for node in ast.parse(BENCH_SPANS.read_text(encoding="utf-8")).body:

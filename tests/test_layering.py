@@ -1,7 +1,8 @@
 """Layering lint: no module of the package imports or reads another
 module's underscore name, and none holds an assert statement; the package
 exports exactly its allowlist, and only expansion and parsing build
-structures without the constructor's checks."""
+structures without the constructor's checks, and only limits.py reads
+the environment."""
 
 import ast
 import importlib
@@ -86,7 +87,7 @@ PUBLIC_NAMES = {
     "DiracAuditReport", "Disconnected", "DuplicateLineId", "DuplicateVertex", "DyadicProfileParams",
     "DyadicWindowReport", "ExpandedArrangement", "ExpansionError", "Ideal", "IncidenceStructure",
     "InvalidStructureError", "LineAtInfinity", "Mirror", "NonClosingBeam", "NotPrime",
-    "PairIdentityReport", "PairMultiplicity", "ParseError", "ProjectivePlane", "RenderOptions",
+    "PairIdentityReport", "PairMultiplicity", "ParseError", "ProjectivePlane",
     "SelfCrossingBeam", "SizeLimitExceeded", "SmallVertex", "Stats", "TkBoundEntry", "TkBoundsReport",
     "UnusedCurve", "ValidationFailed", "ValidationReport", "WedgeSpec", "audit_dirac",
     "audit_pair_identity", "audit_tk_bounds", "compute_stats", "dichotomy_report", "dyadic_profile",
@@ -98,6 +99,7 @@ PUBLIC_NAMES = {
 REMOVED_NAMES = (
     "wedge_paths", "family_point_order", "per_class_max_degrees", "reference_family_counts",
     "from_exponents", "tk_total_weighted", "curve_degrees", "vertex_degrees", "incident", "canonical",
+    "RenderOptions", "budget_from_env",
 )
 
 
@@ -129,3 +131,27 @@ def test_only_expansion_and_parsing_build_trusted_structures():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "trusted"
     ]
     assert callers == ["formats.py", "wedge.py"]
+
+
+def environment_reads(source: str) -> list[int]:
+    """Lines that read os.environ or os.getenv, as an attribute or by a
+    from-import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend(node.lineno for alias in node.names if alias.name in ("environ", "getenv"))
+    return sorted(found)
+
+
+def test_lint_catches_environment_reads():
+    source = "import os\nfrom os import getenv\nx = os.environ.get('A')\ny = os.getenv('B')\nz = os.path.sep\n"
+    assert environment_reads(source) == [2, 3, 4]
+
+
+def test_only_limits_reads_the_environment():
+    """Budgets are the package's only settings from the environment, and
+    limits.py reads every one of them."""
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py")) if environment_reads(path.read_text(encoding="utf-8"))]
+    assert readers == ["limits.py"]
