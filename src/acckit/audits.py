@@ -9,10 +9,11 @@ the underlying counting argument.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 
 from .limits import check_size
 from .structure import IncidenceStructure, InvalidStructureError, Stats, validate
@@ -124,14 +125,37 @@ class DiracAuditReport:
     binom_margin: int
 
 
+def _records_on_curves(s: IncidenceStructure) -> list[list[int]]:
+    """For each curve, the indices of the vertex records on it, rising."""
+    on: list[list[int]] = [[] for _ in range(s.n)]
+    for index, vertex in enumerate(s.vertices):
+        for cid in vertex:
+            on[cid].append(index)
+    return on
+
+
 def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     """Max curves adjacent to all vertices of an alpha-subset, with the
     lexicographically least witness subset (vertex indices).
 
     The C(vertices, alpha) subsets are refused over the budget set in
-    ACCKIT_SUBSET_BUDGET (default 10^7) with SizeLimitExceeded.  The scan
-    for alpha = 1 is not capped, but the variable is read for it too, so a
-    malformed value is refused on every structure."""
+    ACCKIT_SUBSET_BUDGET (default 10^7) with SizeLimitExceeded, before the
+    search starts.  The scan for alpha = 1 is not capped, but the variable
+    is read for it too, so a malformed value is refused on every structure.
+
+    For alpha >= 2 the search grows a prefix of record indices in rising
+    order.  Each next record is one that still leaves enough records after
+    it to complete the subset, and its count of the curves that all records
+    of the prefix share comes at once for every such record: by counting the
+    records on each shared curve, or, when fewer records than shared curves
+    remain, by intersecting each of them.  Shared curves only shrink as the
+    prefix grows, so a record whose count is no more than the best found
+    cannot lead to a larger value and is skipped; best changes only on a
+    strictly larger value.  Prefixes are taken in lexicographic order, and no
+    subset before the least maximiser reaches the maximum, so none of its
+    prefixes is skipped and it is the witness.  When no subset shares a
+    curve, h is 0 with witness (0, ..., alpha-1), the first subset.
+    """
     vcount = len(s.vertices)
     if vcount < s.alpha:
         # Valid structures always carry at least alpha vertices.
@@ -144,16 +168,33 @@ def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
             if len(vertex) > best:
                 best, witness = len(vertex), (index,)
         return best, witness
-    sets = [frozenset(v) for v in s.vertices]
-    best, witness = -1, tuple(range(s.alpha))
-    for combo in combinations(range(vcount), s.alpha):
-        common = sets[combo[0]]
-        for index in combo[1:]:
-            common = common & sets[index]
-            if len(common) <= best:
+    on = _records_on_curves(s)
+
+    def next_records(common, prefix: tuple[int, ...]) -> list[tuple[int, int]]:
+        """(record, curves of common on it) for the records that can follow
+        prefix in an alpha-subset, rising."""
+        low, high = prefix[-1] if prefix else -1, vcount - s.alpha + len(prefix)
+        if high - low <= len(common):
+            return [(index, len(common.intersection(s.vertices[index]))) for index in range(low + 1, high + 1)]
+        later = (on[cid][bisect_right(on[cid], low) : bisect_right(on[cid], high)] for cid in common)
+        return sorted(Counter(chain.from_iterable(later)).items())
+
+    best, witness = 0, tuple(range(s.alpha))
+    everything = set(range(s.n))
+    stack = [((), everything, iter(next_records(everything, ())))]
+    while stack:
+        prefix, common, candidates = stack[-1]
+        for index, shared in candidates:
+            if shared <= best:
+                continue
+            if len(prefix) + 1 == s.alpha:
+                best, witness = shared, prefix + (index,)
+            else:
+                longer, narrower = prefix + (index,), common.intersection(s.vertices[index])
+                stack.append((longer, narrower, iter(next_records(narrower, longer))))
                 break
-        if len(common) > best:
-            best, witness = len(common), combo
+        else:
+            stack.pop()
     return best, witness
 
 

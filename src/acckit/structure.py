@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Iterable, Sequence, Union
 
@@ -323,8 +323,11 @@ def compute_stats(s: IncidenceStructure) -> Stats:
 
     Rejects invalid structures with :class:`InvalidStructureError`.  For
     alpha = 1 each pair lies in exactly one vertex, so l_d has the closed
-    form t_d * C(d, 2); larger alpha takes the minimum over each pair's
-    vertices.
+    form t_d * C(d, 2).  For larger alpha each curve walks its vertices in
+    rising degree and credits every curve it has not met yet to the degree
+    of the vertex where they first meet, the least degree over that pair's
+    vertices; it stops once it has met all n curves.  Each pair is credited
+    once from each of its two curves, so the totals are halved.
     """
     report = validate(s)
     if not report.valid:
@@ -336,13 +339,19 @@ def compute_stats(s: IncidenceStructure) -> Stats:
     if s.alpha == 1:
         ld = {d: count * math.comb(d, 2) for d, count in tk.items()}
     else:
-        pair_min: dict[tuple[int, int], int] = {}
-        for vertex in s.vertices:
-            degree = len(vertex)
-            for pair in combinations(vertex, 2):
-                prev = pair_min.get(pair)
-                if prev is None or degree < prev:
-                    pair_min[pair] = degree
-        ld = Counter(pair_min.values())
+        on: list[list[tuple[int, ...]]] = [[] for _ in range(s.n)]
+        for vertex in sorted(s.vertices, key=len):
+            for cid in vertex:
+                on[cid].append(vertex)
+        twice: Counter[int] = Counter()
+        for cid, records in enumerate(on):
+            met = {cid}
+            for vertex in records:
+                before = len(met)
+                met.update(vertex)
+                twice[len(vertex)] += len(met) - before
+                if len(met) == s.n:
+                    break
+        ld = {d: count // 2 for d, count in twice.items() if count}
 
     return Stats(tk=dict(sorted(tk.items())), r=max(incidences.values()), ld=dict(sorted(ld.items())))

@@ -3,11 +3,13 @@ dyadic windows, and the dichotomy report."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import acckit.audits
 from acckit import (
     DyadicProfileParams,
     IncidenceStructure,
@@ -27,7 +29,7 @@ from acckit import (
     pg2,
     structure_from_lines,
 )
-from acckit.audits import ceil_isqrt, integer_power_root
+from acckit.audits import _best_subset_coverage, ceil_isqrt, integer_power_root
 
 
 def naive_tk(s):
@@ -359,3 +361,110 @@ def test_dyadic_three_way_split_is_total(s, gamma, v):
     assert report.below + report.inside + report.above == math.comb(s.n, 2)
     if report.empty_window:
         assert report.inside == 0
+
+
+def reference_subset_coverage(s):
+    """The subset search as first written, kept as a reference: every
+    alpha-subset of vertex records in lexicographic order, intersecting
+    their id sets."""
+    if s.alpha == 1:
+        best, witness = -1, (0,)
+        for index, vertex in enumerate(s.vertices):
+            if len(vertex) > best:
+                best, witness = len(vertex), (index,)
+        return best, witness
+    sets = [frozenset(v) for v in s.vertices]
+    best, witness = -1, tuple(range(s.alpha))
+    for combo in combinations(range(len(s.vertices)), s.alpha):
+        common = sets[combo[0]]
+        for index in combo[1:]:
+            common = common & sets[index]
+            if len(common) <= best:
+                break
+        if len(common) > best:
+            best, witness = len(common), combo
+    return best, witness
+
+
+@st.composite
+def record_lists(draw):
+    """alpha in 1..4 and up to 9 non-empty records over up to 8 curves;
+    records may repeat, be disjoint or share nothing at all."""
+    alpha = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=8))
+    record = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n, unique=True)
+    records = draw(st.lists(record, min_size=alpha, max_size=9))
+    return IncidenceStructure(alpha, n, records)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(record_lists())
+@example(IncidenceStructure(2, 4, [(0,), (1,), (2,), (3,)]))  # every intersection empty
+@example(IncidenceStructure(3, 6, [(0, 1), (2, 3), (4, 5), (0, 2, 4)]))  # disjoint triples
+@example(IncidenceStructure(2, 5, [(0, 1), (2, 3, 4), (0, 1, 4), (2, 3)]))  # ties of equal size
+@example(IncidenceStructure(4, 3, [(0, 1, 2)] * 5))  # every subset ties
+def test_subset_search_matches_reference(s):
+    assert _best_subset_coverage(s) == reference_subset_coverage(s)
+
+
+def pencil_over_plane(p):
+    """PG(2, p) with a pencil vertex added: every pair of lines meets twice."""
+    n = p * p + p + 1
+    plane = structure_from_lines(pg2(p), range(n))
+    return IncidenceStructure(2, n, plane.vertices + gen_pencil(n).vertices)
+
+
+QUAD = IncidenceStructure(2, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+TRIPLES = IncidenceStructure(3, 5, combinations(range(5), 3))
+# All 29-subsets of 30 curves: alpha = 28, and each of the C(30, 28)
+# subsets of records shares exactly 2 curves, so counts prune almost nothing;
+# the search must keep to prefixes that can still be completed.
+ALL_BUT_ONE = IncidenceStructure(28, 30, combinations(range(30), 29))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [QUAD, TRIPLES, ALL_BUT_ONE, pencil_over_plane(2), pencil_over_plane(3), pencil_over_plane(5)],
+    ids=["quad", "triples", "all-but-one", "pg2+pencil", "pg3+pencil", "pg5+pencil"],
+)
+def test_subset_audits_match_reference_on_valid_structures(s):
+    h, witness = reference_subset_coverage(s)
+    report = audit_dirac(s)
+    assert (report.h, report.witness_subset) == (h, witness)
+    dichotomy = dichotomy_report(s, Fraction(1, 2))
+    assert (dichotomy.coverage, dichotomy.witness_subset) == (h, witness)
+
+
+@settings(derandomize=True, max_examples=30)
+@given(st.sampled_from((2, 3, 5, 7, None)), st.randoms(use_true_random=False))
+def test_ld_matches_pair_minimum_under_relabelling(p, rng):
+    """For alpha >= 2, compute_stats gives naive_ld on PG(2, p) plus a pencil
+    and on the alpha = 3 design of all triples on 5 curves, with curves
+    relabelled and records reordered at random."""
+    base = TRIPLES if p is None else pencil_over_plane(p)
+    label = list(range(base.n))
+    rng.shuffle(label)
+    records = [[label[cid] for cid in vertex] for vertex in base.vertices]
+    rng.shuffle(records)
+    s = IncidenceStructure(base.alpha, base.n, records)
+    stats = compute_stats(s)
+    assert stats.ld == naive_ld(s)
+    assert sum(stats.ld.values()) == math.comb(s.n, 2)
+    assert stats.tk == dict(sorted(naive_tk(s).items()))
+    assert stats.r == max(sum(cid in v for v in s.vertices) for cid in range(s.n))
+
+
+def test_refused_search_builds_no_index(monkeypatch):
+    """The C(vertices, alpha) budget check comes before the curve index, and
+    alpha = 1 scans its records without one."""
+
+    def refuse(s):
+        raise AssertionError("index built")
+
+    monkeypatch.setattr(acckit.audits, "_records_on_curves", refuse)
+    monkeypatch.setenv("ACCKIT_SUBSET_BUDGET", "5")
+    with pytest.raises(SizeLimitExceeded):
+        audit_dirac(QUAD)
+    with pytest.raises(SizeLimitExceeded):
+        dichotomy_report(QUAD, Fraction(1, 2))
+    assert audit_dirac(gen_near_pencil(6)).h == 5

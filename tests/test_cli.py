@@ -1,6 +1,7 @@
 """End-to-end CLI tests, including the documented pipelines."""
 
 import ast
+import hashlib
 import io
 import os
 import resource
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import acckit.cli
+from acckit import IncidenceStructure, gen_pencil, gen_simple_cyclic, pg2, serialize_structure, structure_from_lines
 from acckit.cli import dispatch
 
 BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -492,3 +494,69 @@ def test_bench_hooks_are_called_through_cli_globals(capsys, monkeypatch, tmp_pat
             code, _, _ = run_cli(commands[name], capsys)
         assert code == 0, name
         assert calls, f"acckit.cli.{name} was not called through the module global"
+
+
+ALPHA2_COMMANDS = (
+    ("audit", "dirac", "-"),
+    ("audit", "dichotomy", "-", "--fraction", "1/2"),
+    ("audit", "thm3", "-"),
+    ("audit", "pairs", "-"),
+    ("stats", "-", "--format", "text"),
+    ("stats", "-", "--format", "machine"),
+)
+
+# sha256 of "<exit code>\n<stdout>" for each of ALPHA2_COMMANDS, in order, on
+# PG(2, p) plus a pencil vertex; recorded from the pair-by-pair and
+# subset-by-subset implementations of stats and the subset search.
+ALPHA2_GOLDEN = {
+    5: (
+        "d90ab19219012165b0f131747ee05ae31a9dc5a8e79371b12bbcb190293888b8",
+        "1b820221a444911966b2961454203f47da0c31d954e94a722fc5c451f6d61fa0",
+        "1ea6662706140b19ae0f93f2812e4b77754e299b809815630066ed60a4f93680",
+        "4412da64ac7680fc4ce1f0321b12ba9653d0c603f711fc7ebe5128081795e70a",
+        "69b5e9fdbba1781f7231f703cca7a0b6a9ca61a8905029158822730792b429ae",
+        "38f9877cbfb6ad27c56dd7b6f33a3d9e786ba911c8d736864065af427690f2cd",
+    ),
+    11: (
+        "b395a318d738a580eac9f5c89315949fe4789e15aae4ffb588f09a49aec32d85",
+        "720a222727976bd0090ef81e64f04f5ae7cb6cdcd59d4916c0bf38d03fe7ec3b",
+        "102c67d2c4dc174ebb64efc5a0e4d7c6652d7d7337221a5554c53379eb8d70d0",
+        "0ba61790273bece4491a01b6975363a0e46c9a27f60c25b6d41ae5ff2bbada68",
+        "91621443ad954f2aa240c49abf51e7c9cea76139912da58b601ab55175887e02",
+        "50668070dac921977da9f6cf1541109e11188fa49007500fc30d6c7ee953059f",
+    ),
+    31: (
+        "cb5af7e35320749eeb6cc0222e4ae46fbb3ab42f96fddd983b7120a2614b38ff",
+        "97604b057e0bc60db8864cfc47e17f7dd591d511f54c8d84028ff2f020683672",
+        "3322e103a6a4cac8ea38b47ff3cd4c9ffeaf5b45682c8ace1e6e3a0f018f140f",
+        "e57370845dd04cc6e3c3e70d33914389f20d593da0248f958e2d9b209cc8a3e5",
+        "ea4a3b9d959fc9d0358831d2ad250d72ac10bce3e73105df11c3caec6444b0da",
+        "b06e31c22cda883817896211f1e500f93ed4dd9d098657777274e4302476caa1",
+    ),
+}
+
+
+@pytest.mark.parametrize("p", sorted(ALPHA2_GOLDEN))
+def test_alpha_two_outputs_match_golden(capsys, monkeypatch, p):
+    n = p * p + p + 1
+    plane = structure_from_lines(pg2(p), range(n))
+    text = serialize_structure(IncidenceStructure(2, n, plane.vertices + gen_pencil(n).vertices))
+    digests = []
+    for argv in ALPHA2_COMMANDS:
+        code, out, err = run_cli(list(argv), capsys, text, monkeypatch)
+        assert err == "", argv
+        digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest())
+    assert tuple(digests) == ALPHA2_GOLDEN[p]
+
+
+def test_alpha_two_subset_refusal_text(capsys, monkeypatch):
+    n = 150
+    both = gen_pencil(n).vertices + gen_simple_cyclic(n).vertices
+    text = serialize_structure(IncidenceStructure(2, n, both))
+    for argv in (["audit", "dirac", "-"], ["audit", "dichotomy", "-", "--fraction", "1/2"]):
+        assert run_cli(argv, capsys, text, monkeypatch) == (
+            2,
+            "",
+            "error: subset search needs 62445900 evaluations, budget is 10000000;"
+            " raise ACCKIT_SUBSET_BUDGET to proceed\n",
+        )
