@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from . import audits, formats, render
 from .family import family_wedge, gen_near_pencil, gen_pencil, gen_simple_cyclic
@@ -160,8 +161,13 @@ def _cmd_validate(args) -> tuple[int, str]:
         lines.append(f"valid alpha={s.alpha} n={s.n} vertices={len(s.vertices)}")
         code = EXIT_OK
     else:
-        lines.append(f"invalid alpha={s.alpha} n={s.n} violations={len(report.violations)}")
-        lines.extend(f"  {violation}" for violation in report.violations)
+        lines.append(f"invalid alpha={s.alpha} n={s.n} violations={sum(report.counts.values())}")
+        for kind, examples in groupby(report.violations, lambda violation: type(violation).__name__):
+            shown = [f"  {violation}" for violation in examples]
+            lines += shown
+            more = report.counts[kind] - len(shown)
+            if more:
+                lines.append(f"  ... and {more} more {kind}")
         code = EXIT_CHECK_FAILED
     return code, "\n".join(lines) + "\n"
 

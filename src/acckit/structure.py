@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Iterable, Sequence, Union
@@ -140,10 +140,19 @@ class UnusedCurve:
 Violation = Union[PairMultiplicity, DuplicateVertex, Disconnected, SmallVertex, UnusedCurve]
 
 
+_EXAMPLES = 20  # violations listed per kind; the rest are only counted
+
+
 @dataclass(frozen=True)
 class ValidationReport:
+    """The outcome of validate.  valid is exact, and counts maps each kind
+    of violation found (by class name, in validate's order) to its exact
+    number.  violations holds only examples: the first 20 of each kind, in
+    that order.  A valid report has neither."""
+
     valid: bool
     violations: tuple[Violation, ...]
+    counts: dict[str, int] = field(default_factory=dict, hash=False)
 
 
 class InvalidStructureError(ValueError):
@@ -151,13 +160,13 @@ class InvalidStructureError(ValueError):
 
     def __init__(self, report: ValidationReport):
         self.report = report
-        kinds = Counter(type(v).__name__ for v in report.violations)
-        summary = ", ".join(f"{name} x{count}" for name, count in sorted(kinds.items()))
+        summary = ", ".join(f"{name} x{count}" for name, count in sorted(report.counts.items()))
         super().__init__(f"invalid incidence structure: {summary}")
 
 
 def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -> ValidationReport:
-    """Check every structure axiom and report all violations found.
+    """Check every structure axiom; count every violation exactly and list
+    the first 20 of each kind.
 
     Violations are data, not errors; the report is deterministic for a given
     input and lists small vertices, duplicate vertices, unused curves, pair
@@ -166,12 +175,13 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
 
     The pair check is one pass per curve i: counting the ids of the vertices
     on i gives, for every other curve j, how many vertices i and j share.
-    Only a row that is not all alpha is walked to list its pairs.  For
-    alpha = 1 the count is built only for rows that fail a cheaper test: the
-    vertices on i hold sum(|v| - 1) = n - 1 other ids and all n ids between
-    them, so each other curve meets i exactly once.  When every
-    pair shares alpha >= 1 vertices, any two curves meet, so the membership
-    graph is connected and the component count is skipped.
+    A row that is not all alpha fails n - 1 - i pairs with j > i, less the
+    j it counts alpha times; it is walked only while examples remain to
+    list.  For alpha = 1 the count is built only for rows that fail a
+    cheaper test: the vertices on i hold sum(|v| - 1) = n - 1 other ids and
+    all n ids between them, so each other curve meets i exactly once.  When
+    every pair shares alpha >= 1 vertices, any two curves meet, so the
+    membership graph is connected and the component count is skipped.
 
     automorphism, when given, is a permutation of the curve ids that the
     caller promises maps the multiset of records onto itself, such as the
@@ -232,24 +242,26 @@ def _orbit_rows_hold(s: IncidenceStructure, automorphism: Sequence[int]) -> bool
 
 
 def _full_report(s: IncidenceStructure) -> ValidationReport:
-    """Every violation, by one pass over all n rows (see validate)."""
+    """Every violation counted, and the first _EXAMPLES of each kind listed,
+    by one pass over all n rows (see validate)."""
     n, alpha, vertices = s.n, s.alpha, s.vertices
-    violations: list[Violation] = [SmallVertex(i) for i, v in enumerate(vertices) if len(v) < 2]
+    counts: dict[str, int] = {}
+    violations: list[Violation] = []
+    small = [i for i, v in enumerate(vertices) if len(v) < 2]
+    _tally(counts, violations, SmallVertex, len(small), small)
 
-    if len(set(vertices)) != len(vertices):
-        seen: dict[tuple[int, ...], int] = {}
-        for index, vertex in enumerate(vertices):
-            first = seen.setdefault(vertex, index)
-            if first != index:
-                violations.append(DuplicateVertex((first, index)))
+    seen: dict[tuple[int, ...], int] = {}
+    repeats = ((seen[vertex], i) for i, vertex in enumerate(vertices) if seen.setdefault(vertex, i) != i)
+    _tally(counts, violations, DuplicateVertex, len(vertices) - len(set(vertices)), repeats)
 
     on: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for vertex in vertices:
         for cid in vertex:
             on[cid].append(vertex)
-    violations.extend(UnusedCurve(cid) for cid in range(n) if not on[cid])
+    _tally(counts, violations, UnusedCurve, on.count([]), (cid for cid in range(n) if not on[cid]))
 
     pairs_hold = True
+    listed = len(violations)
     for i, records in enumerate(on):
         if alpha == 1 and _meets_each_once(records, n):
             continue
@@ -257,17 +269,28 @@ def _full_report(s: IncidenceStructure) -> ValidationReport:
         if list(row.values()).count(alpha) - (row[i] == alpha) == n - 1:
             continue
         pairs_hold = False
-        for j in range(i + 1, n):
-            observed = row.get(j, 0)
-            if observed != alpha:
-                violations.append(PairMultiplicity((i, j), observed))
+        wrong = n - 1 - i - sum(1 for j, observed in row.items() if observed == alpha and j > i)
+        counts[PairMultiplicity.__name__] = counts.get(PairMultiplicity.__name__, 0) + wrong
+        room = min(wrong, listed + _EXAMPLES - len(violations))
+        if room > 0:
+            found = (PairMultiplicity((i, j), row[j]) for j in range(i + 1, n) if row[j] != alpha)
+            violations.extend(islice(found, room))
 
     if not pairs_hold:
         components = _component_count(on)
         if components > 1:
+            counts[Disconnected.__name__] = 1
             violations.append(Disconnected(components))
 
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    return ValidationReport(valid=not violations, violations=tuple(violations), counts=counts)
+
+
+def _tally(counts: dict[str, int], violations: list[Violation], kind: type, total: int, found: Iterable) -> None:
+    """Count total violations of one kind, and list the first _EXAMPLES of
+    them, built from the constructor arguments that found yields in order."""
+    if total:
+        counts[kind.__name__] = total
+        violations.extend(map(kind, islice(found, _EXAMPLES)))
 
 
 def _component_count(on: list[list[tuple[int, ...]]]) -> int:

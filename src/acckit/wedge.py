@@ -203,7 +203,7 @@ class NonClosingBeam(ExpansionError):
 class ValidationFailed(ExpansionError):
     def __init__(self, report: ValidationReport):
         self.report = report
-        super().__init__(f"expanded arrangement failed validation with {len(report.violations)} violation(s)")
+        super().__init__(f"expanded arrangement failed validation with {sum(report.counts.values())} violation(s)")
 
 
 def check_expansion_size(m: int, bounces: int) -> None:

@@ -560,3 +560,95 @@ def test_alpha_two_subset_refusal_text(capsys, monkeypatch):
             "error: subset search needs 62445900 evaluations, budget is 10000000;"
             " raise ACCKIT_SUBSET_BUDGET to proceed\n",
         )
+
+
+EXAMPLES = 20  # violations listed per kind
+CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+# Recorded before validate listed only the first examples of each kind.
+CHAIN_INVALID = {
+    1: "Disconnected x1, PairMultiplicity x499499, UnusedCurve x998",
+    2: "Disconnected x1, PairMultiplicity x499498, UnusedCurve x997",
+    3: "Disconnected x1, PairMultiplicity x499497, UnusedCurve x996",
+    4: "Disconnected x1, PairMultiplicity x499496, UnusedCurve x995",
+}
+
+
+@pytest.mark.parametrize("records", sorted(CHAIN_INVALID))
+@pytest.mark.parametrize("argv", [["stats", "-"], ["audit", "dirac", "-"]])
+def test_invalid_structure_message_counts_every_violation(capsys, monkeypatch, records, argv):
+    text = serialize_structure(IncidenceStructure(1, 1000, CHAIN[:records]))
+    expected = f"error: invalid incidence structure: {CHAIN_INVALID[records]}\n"
+    assert run_cli(argv, capsys, text, monkeypatch) == (1, "", expected)
+
+
+def test_long_report_lists_first_examples_of_each_kind(capsys, monkeypatch):
+    text = serialize_structure(IncidenceStructure(1, 1000, CHAIN))
+    code, out, err = run_cli(["validate", "-"], capsys, text, monkeypatch)
+    expected = [
+        "invalid alpha=1 n=1000 violations=500492",
+        *(f"  UnusedCurve(id={cid})" for cid in range(5, 25)),
+        "  ... and 975 more UnusedCurve",
+        *(f"  PairMultiplicity(pair=(0, {j}), observed=0)" for j in range(2, 22)),
+        "  ... and 499476 more PairMultiplicity",
+        "  Disconnected(components=996)",
+    ]
+    assert (code, out.splitlines(), err) == (1, expected, "")
+
+
+def test_short_reports_unchanged(capsys, monkeypatch):
+    """Reports with at most EXAMPLES violations of each kind read as when
+    every violation was listed; one more adds a single count line."""
+    assert run_cli(["validate", "-"], capsys, INVALID, monkeypatch) == (
+        1,
+        "invalid alpha=1 n=3 violations=1\n  PairMultiplicity(pair=(0, 1), observed=2)\n",
+        "",
+    )
+    for repeats in (EXAMPLES, EXAMPLES + 1):
+        text = serialize_structure(IncidenceStructure(1, 3, [(0, 1)] * (repeats + 1) + [(0, 2), (1, 2)]))
+        code, out, _ = run_cli(["validate", "-"], capsys, text, monkeypatch)
+        expected = [f"invalid alpha=1 n=3 violations={repeats + 1}"]
+        expected += [f"  DuplicateVertex(indices=(0, {i}))" for i in range(1, EXAMPLES + 1)]
+        expected += ["  ... and 1 more DuplicateVertex"] * (repeats - EXAMPLES)
+        expected += [f"  PairMultiplicity(pair=(0, 1), observed={repeats + 1})"]
+        assert (code, out) == (1, "\n".join(expected) + "\n")
+
+
+def crossing_wedge(beams):
+    """m = 2 with pairwise-crossing two-bounce beams: b<i> bounces at top
+    rank i and bottom rank beams + 1 - i.  Its expansion repeats records
+    and meets pairs more than once."""
+    return "wedge 1\nm 2\n" + "".join(f"beam b{i} T{i} B{beams + 1 - i}\n" for i in range(1, beams + 1))
+
+
+def test_failed_expansion_message_counts_every_violation(tmp_path):
+    """319,600 DuplicateVertex and 321,200 PairMultiplicity violations."""
+    path = tmp_path / "crossing.wedge"
+    path.write_text(crossing_wedge(400))
+    result = run_capped(["expand", str(path)])
+    expected = "error: expanded arrangement failed validation with 640800 violation(s)\n"
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", expected)
+
+
+def test_sparse_structure_report_is_bounded(tmp_path):
+    """Three records under 'lines 3000' fail 4.5M pairs; listing them all
+    ran out of a 1 GiB address space.  Never run this input without the cap."""
+    path = tmp_path / "sparse.acc"
+    path.write_text("acc 1\nalpha 1\nlines 3000\nv 0 1\nv 1 2\nv 2 3\n")
+    result = run_capped(["validate", str(path)])
+    lines = result.stdout.splitlines()
+    assert result.returncode == 1
+    assert lines[0] == "invalid alpha=1 n=3000 violations=4501494"
+    assert len(lines) <= 4 * (EXAMPLES + 1) + 1
+    assert "Traceback" not in result.stderr
+
+
+def test_large_failed_expansion_is_bounded(tmp_path):
+    """The 800-beam crossing wedge fails 2.56M times; listing every violation
+    ran out of a 1 GiB address space.  Never run this input without the cap."""
+    path = tmp_path / "crossing.wedge"
+    path.write_text(crossing_wedge(800))
+    result = run_capped(["validate", str(path)])
+    assert result.returncode in (1, 2)
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
