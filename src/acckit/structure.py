@@ -196,6 +196,14 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
     representative row that fails) runs the full pass, so every report of an
     invalid structure is the same with or without the automorphism.
 
+    For alpha = 2, exactly one full record (all n ids, a complete pencil)
+    adds one to every pair, uses every curve and makes any two meet.  The
+    structure is then valid, and connected, when every record holds two or
+    more ids and each curve meets every other exactly once on the other
+    records, by the cheap alpha = 1 row test (a repeated record would meet
+    its pairs twice).  Anything else runs the full pass, so every invalid
+    report is unchanged.
+
     The structure is immutable, so its report is computed once and kept on
     it; later calls return the same report.
     """
@@ -203,7 +211,7 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
         return s._report
     if s.n < 2:
         raise ValueError(f"validation requires at least 2 curves, got {s.n}")
-    if automorphism is not None and _orbit_rows_hold(s, automorphism):
+    if (automorphism is not None and _orbit_rows_hold(s, automorphism)) or _full_record_rows_hold(s):
         report = ValidationReport(valid=True, violations=())
     else:
         report = _full_report(s)
@@ -241,6 +249,29 @@ def _orbit_rows_hold(s: IncidenceStructure, automorphism: Sequence[int]) -> bool
     return True
 
 
+def _records_by_curve(vertices: Sequence[tuple[int, ...]], n: int) -> list[list[tuple[int, ...]]]:
+    """on[i] lists the records that hold curve i, in the order given."""
+    on: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for vertex in vertices:
+        for cid in vertex:
+            on[cid].append(vertex)
+    return on
+
+
+def _full_record_rows_hold(s: IncidenceStructure) -> bool:
+    """For alpha = 2: exactly one record holds all n ids, every record holds
+    two or more, and on the other records each curve meets every other
+    curve exactly once."""
+    n, vertices = s.n, s.vertices
+    if s.alpha != 2:
+        return False
+    sizes = list(map(len, vertices))
+    if sizes.count(n) != 1 or min(sizes) < 2:
+        return False
+    on = _records_by_curve([vertex for vertex in vertices if len(vertex) < n], n)
+    return all(_meets_each_once(records, n) for records in on)
+
+
 def _full_report(s: IncidenceStructure) -> ValidationReport:
     """Every violation counted, and the first _EXAMPLES of each kind listed,
     by one pass over all n rows (see validate)."""
@@ -254,10 +285,7 @@ def _full_report(s: IncidenceStructure) -> ValidationReport:
     repeats = ((seen[vertex], i) for i, vertex in enumerate(vertices) if seen.setdefault(vertex, i) != i)
     _tally(counts, violations, DuplicateVertex, len(vertices) - len(set(vertices)), repeats)
 
-    on: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for vertex in vertices:
-        for cid in vertex:
-            on[cid].append(vertex)
+    on = _records_by_curve(vertices, n)
     _tally(counts, violations, UnusedCurve, on.count([]), (cid for cid in range(n) if not on[cid]))
 
     pairs_hold = True
@@ -298,28 +326,22 @@ def _component_count(on: list[list[tuple[int, ...]]]) -> int:
 
     on[i] lists the vertex records on curve i.  Every record holds at least
     one curve, so every component contains a curve, and the components are
-    those of the curves joined through shared records.  Each record is
-    walked once, from the first of its curves reached.
+    those of the curves joined through shared records.  Union-find over the
+    curves joins each curve to the first id of every record on it, with path
+    halving, and the roots are counted.
     """
-    reached = [False] * len(on)
-    walked: set[int] = set()
-    components = 0
-    for start in range(len(on)):
-        if reached[start]:
-            continue
-        components += 1
-        reached[start] = True
-        stack = [start]
-        while stack:
-            for vertex in on[stack.pop()]:
-                if id(vertex) in walked:
-                    continue
-                walked.add(id(vertex))
-                for cid in vertex:
-                    if not reached[cid]:
-                        reached[cid] = True
-                        stack.append(cid)
-    return components
+    parent = list(range(len(on)))
+
+    def root(cid: int) -> int:
+        while parent[cid] != cid:
+            parent[cid] = parent[parent[cid]]
+            cid = parent[cid]
+        return cid
+
+    for cid, records in enumerate(on):
+        for vertex in records:
+            parent[root(cid)] = root(vertex[0])
+    return sum(1 for cid, up in enumerate(parent) if up == cid)
 
 
 @dataclass(frozen=True)
@@ -346,8 +368,10 @@ def compute_stats(s: IncidenceStructure) -> Stats:
 
     Rejects invalid structures with :class:`InvalidStructureError`.  For
     alpha = 1 each pair lies in exactly one vertex, so l_d has the closed
-    form t_d * C(d, 2).  For larger alpha each curve walks its vertices in
-    rising degree and credits every curve it has not met yet to the degree
+    form t_d * C(d, 2).  So does alpha = 2 with t_n = 1, over d < n: each
+    pair's two vertices are the full record and one of degree d < n, the
+    minimum.  For other alpha each curve walks its vertices in rising
+    degree and credits every curve it has not met yet to the degree
     of the vertex where they first meet, the least degree over that pair's
     vertices; it stops once it has met all n curves.  Each pair is credited
     once from each of its two curves, so the totals are halved.
@@ -359,13 +383,12 @@ def compute_stats(s: IncidenceStructure) -> Stats:
     incidences = Counter(chain.from_iterable(s.vertices))
     tk: Counter[int] = Counter(map(len, s.vertices))
 
-    if s.alpha == 1:
+    if s.alpha == 1 or (s.alpha == 2 and tk[s.n] == 1):
         ld = {d: count * math.comb(d, 2) for d, count in tk.items()}
+        if s.alpha == 2:
+            del ld[s.n]  # the full record is no pair's least-degree vertex
     else:
-        on: list[list[tuple[int, ...]]] = [[] for _ in range(s.n)]
-        for vertex in sorted(s.vertices, key=len):
-            for cid in vertex:
-                on[cid].append(vertex)
+        on = _records_by_curve(sorted(s.vertices, key=len), s.n)
         twice: Counter[int] = Counter()
         for cid, records in enumerate(on):
             met = {cid}

@@ -454,6 +454,30 @@ def test_ld_matches_pair_minimum_under_relabelling(p, rng):
     assert stats.r == max(sum(cid in v for v in s.vertices) for cid in range(s.n))
 
 
+def with_pencil(s):
+    """s plus a full record of all its curves, with alpha one higher."""
+    return IncidenceStructure(s.alpha + 1, s.n, s.vertices + gen_pencil(s.n).vertices)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        with_pencil(gen_near_pencil(9)),
+        with_pencil(gen_simple_cyclic(8)),
+        # alpha = 3 keeps the walk: records of degrees 2, 3, 6 and 7.
+        with_pencil(
+            IncidenceStructure(2, 7, structure_from_lines(pg2(2), range(7)).vertices + gen_near_pencil(7).vertices)
+        ),
+    ],
+    ids=["near-pencil+pencil", "simple+pencil", "alpha3"],
+)
+def test_full_record_stats_match_naive(s):
+    """For alpha = 2 with one full record, l_d is t_d * C(d, 2) over d < n."""
+    stats = compute_stats(s)
+    assert stats.ld == naive_ld(s)
+    assert stats.tk == dict(sorted(naive_tk(s).items()))
+
+
 def test_refused_search_builds_no_index(monkeypatch):
     """The C(vertices, alpha) budget check comes before the curve index, and
     alpha = 1 scans its records without one."""

@@ -549,6 +549,27 @@ def test_alpha_two_outputs_match_golden(capsys, monkeypatch, p):
     assert tuple(digests) == ALPHA2_GOLDEN[p]
 
 
+# sha256 of "<exit code>\n<stdout>" for `audit dirac -` and
+# `stats - --format machine` on PG(2, 61) plus a pencil vertex, recorded
+# before validate and compute_stats read the pencil apart from the plane.
+PG61_GOLDEN = (
+    "a02c1cdad2d4a634a49f81e7f3e31bc5a6953121b07fa84848de5927b00e575c",
+    "7eefebf06e506ea8a5f394daa0e106bd59adc9981307b435e4f867d8eb217ca5",
+)
+
+
+def test_alpha_two_pg61_outputs_match_golden(capsys, monkeypatch):
+    n = 61 * 61 + 61 + 1
+    plane = structure_from_lines(pg2(61), range(n))
+    text = serialize_structure(IncidenceStructure(2, n, plane.vertices + gen_pencil(n).vertices))
+    digests = []
+    for argv in (["audit", "dirac", "-"], ["stats", "-", "--format", "machine"]):
+        code, out, err = run_cli(argv, capsys, text, monkeypatch)
+        assert err == "", argv
+        digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest())
+    assert tuple(digests) == PG61_GOLDEN
+
+
 def test_alpha_two_subset_refusal_text(capsys, monkeypatch):
     n = 150
     both = gen_pencil(n).vertices + gen_simple_cyclic(n).vertices

@@ -20,6 +20,8 @@ from acckit import (
     compute_stats,
     family_wedge,
     expand,
+    gen_near_pencil,
+    gen_simple_cyclic,
     parse_structure,
     pg2,
     serialize_structure,
@@ -426,6 +428,8 @@ def assert_bounded_seed_report(report, s):
 @example(IncidenceStructure(1, 12, []))
 @example(IncidenceStructure(3, 12, []))
 @example(IncidenceStructure(1, 50, [(i,) for i in range(25)] * 2))
+# Three used components and three unused curves: six in all.
+@example(IncidenceStructure(1, 10, [(5, 6), (0, 1), (4, 6), (2, 3)]))
 def test_validate_matches_seed_algorithm(s):
     assert_bounded_seed_report(validate(s), s)
 
@@ -510,3 +514,112 @@ def test_trusted_constructor_keeps_records():
     assert s.vertices == tuple(vertices)
     assert s == IncidenceStructure(1, 3, vertices)
     assert validate(s).valid
+
+
+def with_pencil(s):
+    """s plus a full record of all its curves, with alpha one higher."""
+    return IncidenceStructure(s.alpha + 1, s.n, s.vertices + (tuple(range(s.n)),))
+
+
+def plane(p):
+    return structure_from_lines(pg2(p), range(p * p + p + 1))
+
+
+# The 2-(7, 4, 2) design: complements of the Fano plane's lines.
+BIPLANE = IncidenceStructure(2, 7, [tuple(sorted(set(range(7)) - {(a + s) % 7 for a in (0, 1, 3)})) for s in range(7)])
+# Every pair of 4 curves twice: the pair counts of alpha = 2 with every record repeated.
+DOUBLED = IncidenceStructure(2, 4, list(combinations(range(4), 2)) * 2)
+
+
+def _broken_line(s):
+    """s with the lowest id dropped from its first record of three or more ids."""
+    records = [list(v) for v in s.vertices]
+    next(v for v in records if len(v) >= 3).pop(0)
+    return IncidenceStructure(s.alpha, s.n, records)
+
+
+def _pencil_missing(s, cid):
+    """s plus a pencil of every curve but cid, with alpha one higher."""
+    return IncidenceStructure(s.alpha + 1, s.n, s.vertices + (tuple(c for c in range(s.n) if c != cid),))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        *(with_pencil(plane(p)) for p in (2, 3, 5, 7)),
+        # alpha = 3 with a full record takes the full pass.
+        with_pencil(BIPLANE),
+        with_pencil(IncidenceStructure(2, 4, combinations(range(4), 3))),
+        # alpha = 3 over records of degrees 2, 3 and 6.
+        with_pencil(IncidenceStructure(2, 7, plane(2).vertices + gen_near_pencil(7).vertices)),
+        # Invalid: two pencils (alpha 2, and alpha 3 where every pair holds).
+        IncidenceStructure(2, 13, plane(3).vertices + (tuple(range(13)),) * 2),
+        IncidenceStructure(3, 13, plane(3).vertices + (tuple(range(13)),) * 2),
+        _pencil_missing(plane(3), 5),
+        _pencil_missing(plane(2), 0),
+        _broken_line(with_pencil(plane(3))),
+        _broken_line(with_pencil(BIPLANE)),
+        IncidenceStructure(2, 13, with_pencil(plane(3)).vertices + ((4,),)),
+        # alpha = 3: the rest meets every pair twice, but repeats each record.
+        with_pencil(DOUBLED),
+        with_pencil(IncidenceStructure(2, 7, plane(2).vertices * 2)),
+        # alpha = 3 over a pencil and a plane, a rest valid only for alpha = 1.
+        IncidenceStructure(3, 13, with_pencil(plane(3)).vertices),
+        # alpha = 2: a pencil over a rest that repeats a line.
+        IncidenceStructure(2, 7, with_pencil(plane(2)).vertices + plane(2).vertices[:1]),
+    ],
+)
+def test_full_record_shortcut_matches_seed_algorithm(s):
+    assert_bounded_seed_report(validate(s), s)
+
+
+@pytest.mark.parametrize("s", [with_pencil(plane(p)) for p in (2, 3, 5, 7)])
+def test_full_record_shortcut_skips_full_pass(monkeypatch, s):
+    monkeypatch.setattr("acckit.structure._full_report", None)
+    assert validate(s) == ValidationReport(valid=True, violations=())
+
+
+REMAINDERS = (
+    plane(2),
+    plane(3),
+    gen_simple_cyclic(5),
+    gen_near_pencil(6),
+    IncidenceStructure(2, 4, combinations(range(4), 3)),
+    BIPLANE,
+    IncidenceStructure(3, 5, combinations(range(5), 3)),
+    DOUBLED,
+)
+
+
+@st.composite
+def full_record_structures(draw):
+    """A full record over a remainder valid for alpha - 1 (or, for DOUBLED,
+    with its pair counts but repeated records), then up to two perturbations:
+    a record dropped, repeated or added at random, an id dropped from or
+    added to a record, or alpha moved by one.  Curves are relabelled and
+    records shuffled."""
+    base = draw(st.sampled_from(REMAINDERS))
+    n, alpha = base.n, base.alpha + 1
+    records = [set(v) for v in base.vertices] + [set(range(n))]
+    for change in draw(st.lists(st.sampled_from(("drop", "repeat", "add", "shrink", "grow", "alpha")), max_size=2)):
+        index = draw(st.integers(0, len(records) - 1))
+        if change == "drop" and len(records) > 1:
+            records.pop(index)
+        elif change == "repeat":
+            records.append(set(records[index]))
+        elif change == "add":
+            records.append(set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))))
+        elif change == "shrink" and len(records[index]) > 1:
+            records[index].discard(draw(st.sampled_from(sorted(records[index]))))
+        elif change == "grow":
+            records[index].add(draw(st.integers(0, n - 1)))
+        elif change == "alpha":
+            alpha = max(1, alpha + draw(st.sampled_from((-1, 1))))
+    label = draw(st.permutations(range(n)))
+    return IncidenceStructure(alpha, n, draw(st.permutations([[label[cid] for cid in v] for v in records])))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(full_record_structures())
+def test_full_record_structures_match_seed_algorithm(s):
+    assert_bounded_seed_report(validate(s), s)
