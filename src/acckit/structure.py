@@ -13,8 +13,9 @@ All arithmetic in this module is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from heapq import merge
 from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Iterable, Sequence, Union
@@ -211,7 +212,7 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
         return s._report
     if s.n < 2:
         raise ValueError(f"validation requires at least 2 curves, got {s.n}")
-    if (automorphism is not None and _orbit_rows_hold(s, automorphism)) or _full_record_rows_hold(s):
+    if _rows_meet_once(s, automorphism):
         report = ValidationReport(valid=True, violations=())
     else:
         report = _full_report(s)
@@ -226,55 +227,54 @@ def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
     return sum(map(len, records)) - len(records) == n - 1 and len(set(chain.from_iterable(records))) == n
 
 
-def _orbit_rows_hold(s: IncidenceStructure, automorphism: Sequence[int]) -> bool:
-    """For alpha = 1: every record holds two or more ids, and the curve
-    starting each cycle of automorphism meets every other curve exactly once."""
+def _rows_meet_once(s: IncidenceStructure, automorphism: Sequence[int] | None) -> bool:
+    """The shortcuts past the full pass (see validate): every record holds
+    two or more ids, and each checked curve meets every other curve exactly
+    once on the records that are not full.  For alpha = 1 with an
+    automorphism the curve starting each of its cycles is checked; for
+    alpha = 2 with exactly one full record every curve is, and that record
+    is skipped.  Anything else takes the full pass."""
     n, vertices = s.n, s.vertices
-    if s.alpha != 1 or min(map(len, vertices), default=0) < 2:
+    sizes = list(map(len, vertices))
+    if min(sizes, default=0) < 2:
         return False
-    representatives = []
-    seen = [False] * n
-    for start in range(n):
-        if not seen[start]:
-            representatives.append(start)
-            cid = start
-            while not seen[cid]:
-                seen[cid] = True
-                cid = automorphism[cid]
-    wanted = set(representatives)
-    hit = [vertex for vertex in vertices if not wanted.isdisjoint(vertex)]
-    for i in representatives:
-        if not _meets_each_once([vertex for vertex in hit if i in vertex], n):
-            return False
-    return True
+    if s.alpha == 1 and automorphism is not None:
+        rows, seen = [], [False] * n
+        for start in range(n):
+            if not seen[start]:
+                rows.append(start)
+                cid = start
+                while not seen[cid]:
+                    seen[cid] = True
+                    cid = automorphism[cid]
+    elif s.alpha == 2 and sizes.count(n) == 1:
+        rows, vertices = range(n), [vertex for vertex in vertices if len(vertex) < n]
+    else:
+        return False
+    wanted = set(rows)
+    on = _records_by_curve(vertex for vertex in vertices if not wanted.isdisjoint(vertex))
+    return all(_meets_each_once(on.get(i, []), n) for i in rows)
 
 
-def _records_by_curve(vertices: Sequence[tuple[int, ...]], n: int) -> list[list[tuple[int, ...]]]:
-    """on[i] lists the records that hold curve i, in the order given."""
-    on: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+def _records_by_curve(vertices: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
+    """on[i] lists the records that hold curve i, in the order given; only
+    the curves on some record are keys."""
+    on: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for vertex in vertices:
         for cid in vertex:
             on[cid].append(vertex)
     return on
 
 
-def _full_record_rows_hold(s: IncidenceStructure) -> bool:
-    """For alpha = 2: exactly one record holds all n ids, every record holds
-    two or more, and on the other records each curve meets every other
-    curve exactly once."""
-    n, vertices = s.n, s.vertices
-    if s.alpha != 2:
-        return False
-    sizes = list(map(len, vertices))
-    if sizes.count(n) != 1 or min(sizes) < 2:
-        return False
-    on = _records_by_curve([vertex for vertex in vertices if len(vertex) < n], n)
-    return all(_meets_each_once(records, n) for records in on)
-
-
 def _full_report(s: IncidenceStructure) -> ValidationReport:
     """Every violation counted, and the first _EXAMPLES of each kind listed,
-    by one pass over all n rows (see validate)."""
+    by one pass over the rows of the curves on some record (see validate).
+
+    A curve on no record fails all its n - 1 - i pairs with j > i and is a
+    component of its own, so those curves are counted in closed form and
+    walked, in id order, only while examples remain to list: the work
+    follows the records, not the declared n.
+    """
     n, alpha, vertices = s.n, s.alpha, s.vertices
     counts: dict[str, int] = {}
     violations: list[Violation] = []
@@ -285,27 +285,30 @@ def _full_report(s: IncidenceStructure) -> ValidationReport:
     repeats = ((seen[vertex], i) for i, vertex in enumerate(vertices) if seen.setdefault(vertex, i) != i)
     _tally(counts, violations, DuplicateVertex, len(vertices) - len(set(vertices)), repeats)
 
-    on = _records_by_curve(vertices, n)
-    _tally(counts, violations, UnusedCurve, on.count([]), (cid for cid in range(n) if not on[cid]))
+    on = _records_by_curve(vertices)
+    _tally(counts, violations, UnusedCurve, n - len(on), (i for i in range(n) if i not in on))
 
-    pairs_hold = True
-    listed = len(violations)
-    for i, records in enumerate(on):
+    # The pairs of the unused rows, then those of every used row that fails.
+    wrong = math.comb(n, 2) - sum(n - 1 - i for i in on)
+    failing = []
+    for i in sorted(on):
+        records = on[i]
         if alpha == 1 and _meets_each_once(records, n):
             continue
         row = Counter(chain.from_iterable(records))
         if list(row.values()).count(alpha) - (row[i] == alpha) == n - 1:
             continue
-        pairs_hold = False
-        wrong = n - 1 - i - sum(1 for j, observed in row.items() if observed == alpha and j > i)
-        counts[PairMultiplicity.__name__] = counts.get(PairMultiplicity.__name__, 0) + wrong
-        room = min(wrong, listed + _EXAMPLES - len(violations))
-        if room > 0:
-            found = (PairMultiplicity((i, j), row[j]) for j in range(i + 1, n) if row[j] != alpha)
-            violations.extend(islice(found, room))
+        failing.append(i)
+        wrong += n - 1 - i - sum(1 for j, observed in row.items() if observed == alpha and j > i)
 
-    if not pairs_hold:
-        components = _component_count(on)
+    if wrong:
+        counts[PairMultiplicity.__name__] = wrong
+        # The failing and unused rows in id order, walked while examples remain.
+        unused = (i for i in range(n) if i not in on)
+        rows = ((i, Counter(chain.from_iterable(on.get(i, ())))) for i in merge(failing, unused))
+        found = (PairMultiplicity((i, j), row[j]) for i, row in rows for j in range(i + 1, n) if row[j] != alpha)
+        violations.extend(islice(found, _EXAMPLES))
+        components = _component_count(on) + n - len(on)
         if components > 1:
             counts[Disconnected.__name__] = 1
             violations.append(Disconnected(components))
@@ -321,8 +324,9 @@ def _tally(counts: dict[str, int], violations: list[Violation], kind: type, tota
         violations.extend(map(kind, islice(found, _EXAMPLES)))
 
 
-def _component_count(on: list[list[tuple[int, ...]]]) -> int:
-    """Components of the bipartite graph on curves and vertex records.
+def _component_count(on: dict[int, list[tuple[int, ...]]]) -> int:
+    """Components of the bipartite graph on the curves of on and the vertex
+    records.
 
     on[i] lists the vertex records on curve i.  Every record holds at least
     one curve, so every component contains a curve, and the components are
@@ -330,7 +334,7 @@ def _component_count(on: list[list[tuple[int, ...]]]) -> int:
     curves joins each curve to the first id of every record on it, with path
     halving, and the roots are counted.
     """
-    parent = list(range(len(on)))
+    parent = {cid: cid for cid in on}
 
     def root(cid: int) -> int:
         while parent[cid] != cid:
@@ -338,10 +342,10 @@ def _component_count(on: list[list[tuple[int, ...]]]) -> int:
             cid = parent[cid]
         return cid
 
-    for cid, records in enumerate(on):
+    for cid, records in on.items():
         for vertex in records:
             parent[root(cid)] = root(vertex[0])
-    return sum(1 for cid, up in enumerate(parent) if up == cid)
+    return sum(1 for cid, up in parent.items() if up == cid)
 
 
 @dataclass(frozen=True)
@@ -388,9 +392,9 @@ def compute_stats(s: IncidenceStructure) -> Stats:
         if s.alpha == 2:
             del ld[s.n]  # the full record is no pair's least-degree vertex
     else:
-        on = _records_by_curve(sorted(s.vertices, key=len), s.n)
+        on = _records_by_curve(sorted(s.vertices, key=len))
         twice: Counter[int] = Counter()
-        for cid, records in enumerate(on):
+        for cid, records in on.items():
             met = {cid}
             for vertex in records:
                 before = len(met)

@@ -217,92 +217,62 @@ def check_expansion_size(m: int, bounces: int) -> None:
 class _Expansion:
     """The machinery behind expand().
 
-    Beam segment s in wedge image w is the atom (beam, w, s).  Bouncing off
-    an edge reflects the wedge index across that edge's ray: a top bounce
-    maps w to w ^ 1, a bottom bounce maps w to w - 1 for even w and to w + 1
-    for odd w (mod 2m).  A pseudoline copy is therefore one walk: from an
-    entry segment (s = 0) forward through the beam's bounces, reflected at
-    the terminating bounce, and back through the same bounces to a second
-    entry segment.  Each walk covers 2t of the beam's 2m * t atoms, so every
-    beam has m copies, numbered by their lowest entry wedge.  The walk
-    records each atom's curve id and the rays each copy meets; labels and
-    waypoints are built from these only when asked for.
+    A beam's bounces alternate sides from the top edge, so every bounce
+    carries a copy one wedge image on: from even wedge w a top bounce
+    crosses ray w + 1, and from odd wedge w a bottom bounce crosses ray
+    w + 1.  The copy of a t-bounce beam entering at even wedge e therefore
+    runs segment s in wedge e + s on the way out and in wedge e + 2t - 1 - s
+    on the way back (mod 2m), meets rays e, e + 1, ..., e + 2t, and enters
+    again at odd wedge e + 2t - 1.  So every beam has m copies, one per even
+    entry wedge, numbered by their lower entry wedge; entered[bi][i] is the
+    curve id of beam bi's copy entering at wedge 2i, and columns, paths and
+    the rotation are read from it only when asked for.
     """
 
     def __init__(self, spec: WedgeSpec):
-        # A copy entering at even wedge e steps through wedges e..e+2t-1 and
-        # leaves through bottom ray e + 2t, so it closes on a single mirror
-        # exactly when m divides 2t, and then every copy of the beam does.
-        # The first copy walked enters at wedge 0, on mirror 0.
+        # Both loose ends of a copy are entry segments, parallel to the
+        # bottom edge, so they reach infinity on bottom rays e and e + 2t:
+        # one mirror exactly when m divides 2t, and then for every copy of
+        # the beam.  The first copy enters at wedge 0, on mirror 0.
         for beam in spec.beams:
             other = 2 * len(beam.events) % spec.m
             if other:
                 raise NonClosingBeam(beam.name, (0, other))
         check_expansion_size(spec.m, sum(len(beam.events) for beam in spec.beams))
         self.spec = spec
-        self.m = spec.m
-        self.nw = nw = 2 * spec.m
-        # across[side][w] = (ray, wedge beyond it) for wedge w's top or
-        # bottom edge.
-        self.across = {
-            TOP: [(w | 1, w ^ 1) for w in range(nw)],
-            BOTTOM: [(w, (w - 1) % nw) if w % 2 == 0 else ((w + 1) % nw, (w + 1) % nw) for w in range(nw)],
-        }
-        self._walk()
-        self._find_crossings()
-
-    def _walk(self):
-        """Number every beam copy and record its rays.
-
-        Both loose ends of a copy are entry segments, which run parallel to
-        the wedge's bottom edge and so reach infinity at the bottom mirror's
-        ideal point; closure, checked up front, puts both on one mirror.
-        """
-        m, bottom = self.m, self.across[BOTTOM]
-        # curves[bi][w * t + s] is the curve id of atom (bi, w, s).
-        self.curves: list[list[int]] = []
-        # rays[bi] holds, copy after copy, the ray of the copy's first ideal
-        # end, of each bounce along its route, and of its second ideal end.
-        self.rays: list[list[int]] = []
+        self.m = m = spec.m
+        self.nw = nw = 2 * m
+        self.entered: list[list[int]] = []
         self.ideal_members: list[list[int]] = [[] for _ in range(m)]
         next_id = m
-        for beam in self.spec.beams:
-            t = len(beam.events)
-            steps = [self.across[event.side] for event in beam.events]
-            # (segment, bounce ending it): out through every bounce, then
-            # back from the terminating one.
-            route = [(s, steps[s]) for s in range(t)]
-            route += [(s, steps[s - 1]) for s in range(t - 1, 0, -1)]
-            curve = [0] * (self.nw * t)
-            rays: list[int] = []
-            for start in range(self.nw):
-                if curve[start * t]:
-                    continue
-                w = start
-                rays.append(bottom[start][0])
-                for s, across in route:
-                    curve[w * t + s] = next_id
-                    ray, w = across[w]
-                    rays.append(ray)
-                curve[w * t] = next_id
-                rays.append(bottom[w][0])
-                self.ideal_members[bottom[start][0] % m].append(next_id)
-                next_id += 1
-            self.curves.append(curve)
-            self.rays.append(rays)
+        for beam in spec.beams:
+            # The copy entering at wedge 2i enters again at 2i + back, and
+            # both its ends lie on mirror 2i mod m.
+            back = 2 * len(beam.events) - 1
+            entered = [0] * m
+            for copy, i in enumerate(sorted(range(m), key=lambda i: min(2 * i, (2 * i + back) % nw)), next_id):
+                entered[i] = copy
+                self.ideal_members[2 * i % m].append(copy)
+            self.entered.append(entered)
+            next_id += m
         self.infinity_id = next_id
         self.n = next_id + 1
+        self._find_crossings()
 
     def paths(self) -> tuple[CopyPath, ...]:
-        """Every copy's waypoints, in curve id order, from the recorded rays."""
+        """Every copy's waypoints, in curve id order: rays rising from its
+        even entry 2i to 2i + 2t when that is its lower entry, else falling
+        from 2i + 2t back to 2i."""
         paths: list[CopyPath] = []
-        for beam, rays in zip(self.spec.beams, self.rays):
+        for beam, entered in zip(self.spec.beams, self.entered):
             ranks = [event.rank for event in beam.events]
-            # Each copy's waypoint kinds and ranks, in route order.
+            # Each copy's waypoint kinds and ranks, the same read either way.
             shape = [("ideal", 0)] + [("bounce", rank) for rank in ranks + ranks[-2::-1]] + [("ideal", 0)]
-            size = len(shape)
-            for copy, at in enumerate(range(0, len(rays), size)):
-                waypoints = tuple((kind, ray, rank) for (kind, rank), ray in zip(shape, rays[at : at + size]))
+            span = 2 * len(ranks)
+            for copy, i in enumerate(sorted(range(self.m), key=entered.__getitem__)):
+                e = 2 * i
+                rays = range(e, e + span + 1) if e < (e + span - 1) % self.nw else range(e + span, e - 1, -1)
+                waypoints = tuple((kind, ray % self.nw, rank) for (kind, rank), ray in zip(shape, rays))
                 paths.append((beam.name, copy, waypoints))
         return tuple(paths)
 
@@ -350,9 +320,15 @@ class _Expansion:
         return tuple(labels)
 
     def _column(self, bi: int, s: int) -> list[int]:
-        """Curve ids of beam bi's segment s in wedges 0..2m-1."""
-        t = len(self.spec.beams[bi].events)
-        return self.curves[bi][s::t]
+        """Curve ids of beam bi's segment s in wedges 0..2m-1: in wedge
+        w = s + 2j the copy entering at 2j on its way out, in the others
+        the copy entering at w + s + 1 - 2t on its way back."""
+        entered, t = self.entered[bi], len(self.spec.beams[bi].events)
+        out, back = -(s // 2) % self.m, (s // 2 + 1 - t) % self.m
+        column = [0] * self.nw
+        column[s % 2 :: 2] = entered[out:] + entered[:out]
+        column[1 - s % 2 :: 2] = entered[back:] + entered[:back]
+        return column
 
     def vertex_ids(self) -> list[tuple[int, ...]]:
         """Every vertex's sorted curve ids, in the order vertex_labels lists
@@ -410,20 +386,17 @@ class _Expansion:
 
     def rotation(self) -> list[int]:
         """Curve ids under rotation by two wedge images: mirror i goes to
-        mirror i + 2 mod m, the copy through atom (b, w, s) to the copy
-        through (b, w + 2, s), and the line at infinity stays.
+        mirror i + 2 mod m, each beam's copy entering at wedge 2i to the one
+        entering at 2i + 2, and the line at infinity stays.
 
-        The reflection tables commute with w -> w + 2, so the copy entering
-        at wedge w is carried onto the one entering at w + 2; reading the
-        entry column (s = 0) of each beam gives the whole map.  Every record
-        vertex_ids builds is indexed by ray or wedge, so the map carries the
-        records onto themselves.
+        A copy's whole route moves two wedges on with its entry, and every
+        record vertex_ids builds is indexed by ray or wedge, so the map
+        carries the records onto themselves.
         """
         m = self.m
         image = [(i + 2) % m for i in range(m)] + [self.infinity_id] * (self.n - m)
-        for curve, beam in zip(self.curves, self.spec.beams):
-            entry = curve[:: len(beam.events)]
-            for copy, rotated in zip(entry, entry[2:] + entry[:2]):
+        for entered in self.entered:
+            for copy, rotated in zip(entered, entered[1:] + entered[:1]):
                 image[copy] = rotated
         return image
 

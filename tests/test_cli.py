@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import io
+import math
 import os
 import resource
 import subprocess
@@ -662,6 +663,27 @@ def test_sparse_structure_report_is_bounded(tmp_path):
     assert lines[0] == "invalid alpha=1 n=3000 violations=4501494"
     assert len(lines) <= 4 * (EXAMPLES + 1) + 1
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("n", [9_999_999, 10**21])
+@pytest.mark.parametrize("argv", [["validate"], ["stats"], ["audit", "dirac"]])
+def test_huge_declared_line_count_is_bounded_by_the_records(tmp_path, argv, n):
+    """One record 'v 0 1' under 'lines n': n - 2 unused curves, C(n, 2) - 1
+    pairs that never meet and one disconnection.  Indexing every declared
+    curve ran out of a 1 GiB address space at n = 9,999,999 and never
+    finished at n = 10^21.  Never run these inputs without the cap."""
+    path = tmp_path / "sparse.acc"
+    path.write_text(f"acc 1\nalpha 1\nlines {n}\nv 0 1\n")
+    result = run_capped([*argv, str(path)])
+    total = math.comb(n, 2) + n - 2
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    if argv == ["validate"]:
+        assert result.stdout.splitlines()[0] == f"invalid alpha=1 n={n} violations={total}"
+        assert result.stdout.splitlines()[-1] == f"  Disconnected(components={n - 1})"
+    else:
+        kinds = f"Disconnected x1, PairMultiplicity x{math.comb(n, 2) - 1}, UnusedCurve x{n - 2}"
+        assert result.stderr == f"error: invalid incidence structure: {kinds}\n"
 
 
 def test_large_failed_expansion_is_bounded(tmp_path):

@@ -6,7 +6,7 @@ from itertools import combinations
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import acckit.wedge
@@ -37,10 +37,10 @@ from acckit.wedge import BOTTOM, TOP
 
 
 def wedge_paths(spec):
-    """Every copy's waypoints from the reflection walk alone, as lists:
-    raises the walk's errors (NonClosingBeam, SizeLimitExceeded,
-    SelfCrossingBeam) and never validates the assembled structure, so it
-    also reaches wedges whose expansion is invalid."""
+    """Every copy's waypoints from the expansion's routes alone, as lists:
+    raises the errors found before assembly (NonClosingBeam,
+    SizeLimitExceeded, SelfCrossingBeam) and never validates the assembled
+    structure, so it also reaches wedges whose expansion is invalid."""
     return [(name, copy, list(waypoints)) for name, copy, waypoints in acckit.wedge._Expansion(spec).paths()]
 
 
@@ -417,11 +417,35 @@ def test_expansion_matches_reference(spec):
     _compare_with_reference(spec)
 
 
+def beams_wedge(m, *beams):
+    """WedgeSpec of order m with beams b0, b1, ... given as bounce text,
+    for example "T1 B1 T2"."""
+    events = [[BounceEvent(e[0], int(e[1:])) for e in text.split()] for text in beams]
+    return WedgeSpec(m, [BeamSpec(f"b{i}", bounces) for i, bounces in enumerate(events)])
+
+
 @settings(derandomize=True, max_examples=400)
 @given(small_wedges(max_m=9, max_beams=3, max_bounces=9))
+# 2t = m: valid expansions with crossing beams, whose copies entering at
+# wedges m + 2, ..., 2m - 2 have an odd lower entry.
+@example(beams_wedge(10, "T3 B4 T5 B5 T6", "T1 B1 T2 B2 T3"))
+@example(beams_wedge(12, "T2 B3 T6 B5 T7 B7", "T1 B1 T2 B2 T3 B3"))
+@example(beams_wedge(16, "T3 B4 T5 B5 T7 B6 T8 B9", "T1 B1 T2 B2 T3 B3 T4 B4"))
+# 2t = 2m: every copy but the first has an odd lower entry, and each meets
+# some mirror twice, so these fail validation; the last two mix both cases.
+@example(beams_wedge(10, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5", "T2 B4 T4 B5 T6 B6 T7 B7 T8 B8"))
+@example(beams_wedge(13, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5 T6 B6 T7", "T2 B2 T3 B4 T5 B5 T6 B6 T7 B8 T8 B9 T10"))
+@example(
+    beams_wedge(
+        15, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5 T6 B6 T7 B7 T8", "T2 B2 T5 B3 T6 B6 T7 B7 T8 B8 T9 B9 T10 B10 T11"
+    )
+)
+@example(beams_wedge(12, "T1 B1 T2 B2 T3 B3", "T2 B2 T3 B3 T4 B4 T6 B5 T8 B8 T9 B9"))
+@example(beams_wedge(16, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5 T6 B6 T7 B7 T8 B8", "T4 B2 T5 B4 T6 B6 T7 B7"))
 def test_expansion_matches_reference_on_wider_wedges(spec):
     """Wrap-around with t > m, closure decided in beam order, and chords of
-    different beams sharing an end."""
+    different beams sharing an end; the examples past m = 9 cover both
+    closures, 2t = m and 2t = 2m (mod 2m), with crossing beams."""
     _compare_with_reference(spec)
 
 
