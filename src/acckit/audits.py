@@ -261,13 +261,24 @@ class DyadicProfileParams:
 
 @dataclass(frozen=True)
 class DyadicWindowReport:
-    lower: int
+    """The window [lower, upper] and the l_d sums below, inside and above it.
+
+    lower = 2^v * root with root = floor(n^gamma), formed only when read:
+    for v >= n.bit_length() it exceeds n, so it is known to lie above every
+    degree without being formed."""
+
+    root: int
+    v: int
     upper: int
     empty_window: bool
     below: int
     inside: int
     above: int
     total: int
+
+    @property
+    def lower(self) -> int:
+        return self.root << self.v
 
 
 def integer_power_root(n: int, exponent: Fraction) -> int:
@@ -295,8 +306,11 @@ def dyadic_profile(stats: Stats, params: DyadicProfileParams, n: int) -> DyadicW
     """Sum the l_d profile below, inside, and above the dyadic window."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    lower = (2**params.v) * integer_power_root(n, params.gamma)
-    upper = n // (2**params.v)
+    root = integer_power_root(n, params.gamma)
+    upper = n >> params.v
+    # For v >= n.bit_length(), 2^v > n >= every degree d, so upper is 0 and
+    # n + 1 compares with upper and each d as the lower bound does.
+    lower = root << params.v if params.v < n.bit_length() else n + 1
     empty = lower > upper
     below = inside = above = 0
     for d, count in stats.ld.items():
@@ -307,7 +321,8 @@ def dyadic_profile(stats: Stats, params: DyadicProfileParams, n: int) -> DyadicW
         else:
             inside += count
     return DyadicWindowReport(
-        lower=lower,
+        root=root,
+        v=params.v,
         upper=upper,
         empty_window=empty,
         below=below,

@@ -203,6 +203,22 @@ def _check(lines: list[str], name: str, holds: bool, margin: str) -> bool:
     return not holds
 
 
+def _printable_lower(report: audits.DyadicWindowReport) -> int:
+    """The window's lower bound, refused when it has more decimal digits
+    than Python turns into text (sys.get_int_max_str_digits(), 0 for no
+    limit).  Its bit length decides; the bound and 10^limit are formed only
+    within a few bits of the cutoff, where digits > limit iff
+    lower >= 10^limit."""
+    limit = sys.get_int_max_str_digits()
+    bits = report.v + report.root.bit_length()
+    if limit and bits > limit * math.log2(10) - 4:
+        if bits > limit * math.log2(10) + 4 or report.lower >= 10**limit:
+            raise _UsageError(
+                f"--v {report.v} makes the dyadic window's lower bound longer than {limit} digits"
+            )
+    return report.lower
+
+
 def _cmd_audit(args) -> tuple[int, str]:
     s = _detect_structure(_read_input(args.input))
     lines: list[str] = []
@@ -245,7 +261,7 @@ def _cmd_audit(args) -> tuple[int, str]:
         params = audits.DyadicProfileParams(gamma=args.gamma, v=args.v)
         report = audits.dyadic_profile(stats, params, s.n)
         if not args.quiet:
-            lines.append(f"NOTE dyadic window {report.lower} {report.upper}")
+            lines.append(f"NOTE dyadic window {_printable_lower(report)} {report.upper}")
             lines.append(f"NOTE dyadic empty {'true' if report.empty_window else 'false'}")
             lines.append(f"NOTE dyadic below {report.below}")
             lines.append(f"NOTE dyadic inside {report.inside}")

@@ -19,7 +19,7 @@ bytes.  Canonical .wedge output keeps beams in input order.
 
 from __future__ import annotations
 
-from .structure import IncidenceStructure
+from .structure import IncidenceStructure, strictly_rising
 from .wedge import BeamSpec, BounceEvent, WedgeSpec
 
 
@@ -43,13 +43,84 @@ def _significant_lines(text: str):
 
 def sniff_format(text: str) -> str:
     """Name the format of text: "wedge" when its first significant line
-    starts with 'wedge', otherwise "acc"."""
-    for _, line in _significant_lines(text):
-        return "wedge" if line.startswith("wedge") else "acc"
-    return "acc"
+    starts with 'wedge', otherwise "acc".
+
+    Reads a prefix that doubles until it holds a significant line.  The
+    prefix's last line may continue past it, so only the lines before it
+    are read, unless the prefix is all of text."""
+    size = 4096
+    while True:
+        lines = text[:size].splitlines()
+        if size < len(text):
+            lines.pop()
+        for line in lines:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                return "wedge" if line.startswith("wedge") else "acc"
+        if size >= len(text):
+            return "acc"
+        size *= 2
 
 
 def parse_structure(text: str) -> IncidenceStructure:
+    """Read .acc text.  Canonical text is read in one bulk pass; any other
+    spelling, and any fault, goes through the per-line reader, which gives
+    the same structure or reports the first fault as a ParseError."""
+    alpha, n, vertices = _read_canonical(text) or _read_lines(text)
+    return IncidenceStructure.trusted(alpha, n, vertices)
+
+
+class _Ids(dict):
+    """Canonical decimal ids of 0..n-1, each parsed and range-checked once
+    and shared as one int object; the reverse of _Names.  Any other token
+    raises ValueError."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, token: str) -> int:
+        cid = _canonical_int(token)
+        if not 0 <= cid < self.n:
+            raise ValueError(token)
+        self[token] = cid
+        return cid
+
+
+def _read_canonical(text: str):
+    """(alpha, n, records) of canonical .acc text, the form serialize_structure
+    writes: the three header lines, then one or more 'v <id> ...' rows of
+    at least 2 strictly rising canonical ids within 0..n-1, single spaces
+    and a final newline.  None for any other text, valid or not."""
+    head = text.split("\n", 3)
+    if len(head) < 4 or head[0] != "acc 1" or head[1][:6] != "alpha " or head[2][:6] != "lines ":
+        return None
+    body = head[3]
+    try:
+        alpha, n = _canonical_int(head[1][6:]), _canonical_int(head[2][6:])
+        if alpha < 1 or n < 0 or not body.startswith("v ") or not body.endswith("\n"):
+            return None
+        get = _Ids(n).__getitem__
+        vertices = [tuple(map(get, row.split(" "))) for row in body[2:-1].split("\nv ")]
+    except ValueError:
+        return None
+    if min(map(len, vertices)) < 2 or not strictly_rising(vertices):
+        return None
+    return alpha, n, vertices
+
+
+def _canonical_int(token: str) -> int:
+    """The int that token spells in canonical decimal; ValueError for any
+    other spelling, such as '05', '+5', '1_0' or surrounding space."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(token)
+    return value
+
+
+def _read_lines(text: str):
+    """(alpha, n, records) of any accepted .acc text, read line by line and
+    checked record by record; the first fault raises ParseError."""
     lines = list(_significant_lines(text))
     if not lines:
         raise ParseError(1, "empty input, expected 'acc 1' header")
@@ -85,7 +156,7 @@ def parse_structure(text: str) -> IncidenceStructure:
         vertices.append(tuple(ids))
 
     # Every record was checked above: at least 2 int ids, rising, in range.
-    return IncidenceStructure.trusted(alpha, n, vertices)
+    return alpha, n, vertices
 
 
 class _Names(dict):

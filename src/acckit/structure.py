@@ -84,22 +84,31 @@ class IncidenceStructure:
 
 def _already_normal(vertices: list | tuple, n: int) -> bool:
     """True when every record is a non-empty tuple of int ids, strictly
-    rising, within 0..n-1, checked in bulk over the records laid end to end.
-
-    Of the adjacent pairs in that flat list, len(flat) - len(vertices) lie
-    inside a record; the pairs across record boundaries are counted apart
-    and subtracted.  Anything else goes through the constructor's
-    per-record loop, which normalizes it or reports the first fault.
+    rising, within 0..n-1, checked in bulk.  Anything else goes through the
+    constructor's per-record loop, which normalizes it or reports the first
+    fault.
     """
     if not vertices or set(map(type, vertices)) != {tuple} or min(map(len, vertices)) == 0:
         return False
-    flat = list(chain.from_iterable(vertices))
-    if set(map(type, flat)) != {int}:
+    if set(map(type, chain.from_iterable(vertices))) != {int}:
         return False
+    in_range = min(map(itemgetter(0), vertices)) >= 0 and max(map(itemgetter(-1), vertices)) < n
+    return in_range and strictly_rising(vertices)
+
+
+def strictly_rising(vertices: list | tuple) -> bool:
+    """True when each record, a non-empty tuple of ints, is strictly rising,
+    checked in bulk over the records laid end to end.
+
+    Of the adjacent pairs in that flat list, len(flat) - len(vertices) lie
+    inside a record; the pairs across record boundaries are counted apart
+    and subtracted.
+    """
+    flat = list(chain.from_iterable(vertices))
     firsts = list(map(itemgetter(0), vertices))
     lasts = list(map(itemgetter(-1), vertices))
     inside = sum(map(lt, flat, islice(flat, 1, None))) - sum(map(lt, lasts, islice(firsts, 1, None)))
-    return inside == len(flat) - len(vertices) and min(firsts) >= 0 and max(lasts) < n
+    return inside == len(flat) - len(vertices)
 
 
 @dataclass(frozen=True, slots=True)

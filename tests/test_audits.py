@@ -361,6 +361,12 @@ def test_dyadic_three_way_split_is_total(s, gamma, v):
     assert report.below + report.inside + report.above == math.comb(s.n, 2)
     if report.empty_window:
         assert report.inside == 0
+    # The window as first written, with 2^v formed, on both sides of
+    # v = n.bit_length(), where the report stops forming it.
+    lower, upper = 2**v * integer_power_root(s.n, gamma), s.n // 2**v
+    assert (report.lower, report.upper, report.empty_window) == (lower, upper, lower > upper)
+    assert report.below == sum(c for d, c in stats.ld.items() if d < lower)
+    assert report.above == sum(c for d, c in stats.ld.items() if d >= lower and d > upper)
 
 
 def reference_subset_coverage(s):

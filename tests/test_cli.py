@@ -3,18 +3,29 @@
 import ast
 import hashlib
 import io
+import itertools
 import math
 import os
 import resource
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 import acckit.cli
-from acckit import IncidenceStructure, gen_pencil, gen_simple_cyclic, pg2, serialize_structure, structure_from_lines
+from acckit import (
+    IncidenceStructure,
+    family_wedge,
+    gen_pencil,
+    gen_simple_cyclic,
+    pg2,
+    serialize_structure,
+    serialize_wedge,
+    structure_from_lines,
+)
 from acckit.cli import dispatch
 
 BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -695,3 +706,61 @@ def test_large_failed_expansion_is_bounded(tmp_path):
     assert result.returncode in (1, 2)
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "v, quiet, code",
+    [
+        (100_000, False, 2),
+        (300_000_000, True, 0),
+        (10**9, False, 2),
+        (10**9, True, 0),
+        (10**30, False, 2),
+        (10**30, True, 0),
+    ],
+)
+def test_dyadic_huge_v_is_decided_by_bit_lengths(tmp_path, v, quiet, code):
+    """For v >= n.bit_length() the window is empty and every l_d lies below
+    it, which needs no 2^v; a lower bound too long to print is refused by
+    its bit length.  --quiet --v 300000000 took 4.6 s, --v 10^9 18 s, and
+    --v 100000 ended in Python's own int-to-str message.  Never run these
+    inputs without the cap."""
+    path = tmp_path / "j1.wedge"
+    path.write_text(serialize_wedge(family_wedge(1)))
+    start = time.perf_counter()
+    result = run_capped(["audit", "dyadic", str(path), "--gamma", "1/2", "--v", str(v), *(["--quiet"] if quiet else [])])
+    elapsed = time.perf_counter() - start
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    if code == 2:
+        assert result.stderr == f"error: --v {v} makes the dyadic window's lower bound longer than 4300 digits\n"
+    else:
+        assert result.stdout == "CHECK dyadic.total holds 300/300\n"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_dyadic_window_prints_up_to_the_digit_limit(capsys, monkeypatch, limit):
+    """Around the last v whose lower bound 5 * 2^v (family j = 1, n = 25,
+    gamma = 1/2) fits in `limit` digits, the output is what the window's
+    formula gives, and one v later the refusal."""
+    bound = 10**limit
+    cut = next(v for v in itertools.count() if 5 << v >= bound)
+    wedge = serialize_wedge(family_wedge(1))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for v in range(cut - 3, cut + 3):
+            code, out, err = run_cli(["audit", "dyadic", "-", "--gamma", "1/2", "--v", str(v)], capsys, wedge, monkeypatch)
+            if v < cut:
+                assert (code, err) == (0, "")
+                assert out == (
+                    f"NOTE dyadic window {2**v * 5} {25 // 2**v}\nNOTE dyadic empty true\n"
+                    "NOTE dyadic below 300\nNOTE dyadic inside 0\nNOTE dyadic above 0\n"
+                    "CHECK dyadic.total holds 300/300\n"
+                )
+            else:
+                assert (code, out) == (2, "")
+                assert err == f"error: --v {v} makes the dyadic window's lower bound longer than {limit} digits\n"
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -1,19 +1,21 @@
 """Round trips and error reporting for the .acc and .wedge text formats."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acckit import (
     IncidenceStructure,
     ParseError,
+    expand,
     family_wedge,
     parse_structure,
     parse_wedge,
     serialize_structure,
     serialize_wedge,
 )
-from acckit.formats import _header_int, _parse_int, _significant_lines
+from acckit import formats
+from acckit.formats import _header_int, _parse_int, _significant_lines, sniff_format
 from test_structure import canonical
 
 TRIANGLE = "acc 1\nalpha 1\nlines 3\nv 0 1\nv 0 2\nv 1 2\n"
@@ -211,15 +213,32 @@ def reference_parse_structure(text):
     return IncidenceStructure(alpha, n, vertices)
 
 
+SPELLINGS = {
+    "zero": lambda tok: "0" + tok,
+    "plus": lambda tok: "+" + tok,
+    "underscore": lambda tok: tok[0] + "_" + tok[1:] if len(tok) > 1 else "0_" + tok,
+    "arabic": lambda tok: "".join(chr(0x660 + int(c)) for c in tok),
+}
+SEPARATORS = ["\t", "\x0c", "\u2028", "  ", " \x0c", "\u2028 "]
+
+
 @st.composite
 def acc_texts(draw):
     """.acc text that is mostly well formed: rising records over 0..n-1,
     with now and then a bad header, alpha or count, a comment, a blank or
     CRLF line, an out-of-range, repeated, unsorted or non-integer id, a
-    record of fewer than 2 ids, or a line that is not a record."""
+    record of fewer than 2 ids, or a line that is not a record.
+
+    Half the texts have no comment, blank or decorated line, so that many
+    reach the bulk reader, and both halves draw faults aimed at it: an id
+    or header value spelled '05', '+5', '1_0' or in Arabic-Indic digits, a
+    tab, form feed, line separator or double space between or beside ids,
+    a trailing space, a 'v' token inside a row, comment or blank lines
+    before the header, and no final newline."""
+    tidy = draw(st.booleans())
     n = draw(st.integers(2, 12))
     header = ["acc 1", f"alpha {draw(st.integers(1, 3))}", f"lines {n}"]
-    fault = draw(st.sampled_from([None] * 6 + ["alpha", "count", "short", "header"]))
+    fault = draw(st.sampled_from([None] * 12 + ["alpha", "count", "short", "header", "spelling", "preamble"]))
     if fault == "alpha":
         header[1] = f"alpha {draw(st.sampled_from([0, -1, 'a']))}"
     elif fault == "count":
@@ -228,10 +247,22 @@ def acc_texts(draw):
         header = header[:2]
     elif fault == "header":
         header[0] = "acc 2"
+    elif fault == "spelling":
+        index = draw(st.sampled_from([1, 2]))
+        key, value = header[index].split(" ")
+        header[index] = f"{key} {SPELLINGS[draw(st.sampled_from(sorted(SPELLINGS)))](value)}"
+    elif fault == "preamble":
+        header[0] = draw(st.sampled_from(["", "# note", "  "])) + "\n" + header[0]
     records = []
     for _ in range(draw(st.integers(0, 8))):
         ids = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=4)))
-        fault = draw(st.sampled_from([None] * 24 + ["range", "repeat", "order", "token", "short", "word"]))
+        fault = draw(
+            st.sampled_from(
+                [None] * 50
+                + ["range", "repeat", "order", "token", "short", "word"]
+                + ["spelling", "separator", "trailing", "inner v"]
+            )
+        )
         if fault == "range":
             ids[draw(st.sampled_from([0, -1]))] = draw(st.sampled_from([-1, n, n + 5]))
         elif fault == "repeat":
@@ -243,12 +274,23 @@ def acc_texts(draw):
             tokens[-1] = draw(st.sampled_from(["x", "1.5", "--2", "0x1"]))
         elif fault == "short":
             tokens = tokens[:1]
-        records.append(("w " if fault == "word" else "v ") + " ".join(tokens))
+        elif fault == "spelling":
+            index = draw(st.integers(0, len(tokens) - 1))
+            tokens[index] = SPELLINGS[draw(st.sampled_from(sorted(SPELLINGS)))](tokens[index])
+        elif fault == "inner v":
+            tokens.insert(draw(st.integers(0, len(tokens))), "v")
+        gaps = [" "] * len(tokens)
+        if fault == "separator":
+            gaps[draw(st.integers(0, len(gaps) - 1))] = draw(st.sampled_from(SEPARATORS))
+        line = ("w" if fault == "word" else "v") + "".join(gap + token for gap, token in zip(gaps, tokens))
+        records.append(line + (" " if fault == "trailing" else ""))
     lines = []
     for line in header + records:
-        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=1)))
-        lines.append(line + draw(st.sampled_from(["", "", "", "\r", "  "])))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+        if not tidy:
+            lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=1)))
+            line += draw(st.sampled_from(["", "", "", "\r", "  "]))
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["\n"] * (3 if tidy else 1) + [""]))
 
 
 def _parse_outcome(parse, text):
@@ -258,8 +300,29 @@ def _parse_outcome(parse, text):
         return exc.line, exc.cause
 
 
+CANONICAL = "acc 1\nalpha 1\nlines 3\nv 0 1\nv 0 2\n"
+
+
 @settings(derandomize=True, max_examples=400)
 @given(acc_texts())
+@example(CANONICAL + "v 1 3\n")
+@example(CANONICAL + "v -1 2\n")
+@example(CANONICAL + "v 1 x\n")
+@example(CANONICAL + "v 2 1\n")
+@example(CANONICAL + "v 1 1\n")
+@example(CANONICAL + "v 1\n")
+@example(CANONICAL + "v 1 02\n")
+@example(CANONICAL + "v 1 2 \n")
+@example(CANONICAL + "v 1 2")
+@example(CANONICAL + "v 1\t2\n")
+@example(CANONICAL + "v 1\u20282\n")
+@example(CANONICAL + "v 1\u2028 2\n")
+@example(CANONICAL + "v 1 \u0662\n")
+@example(CANONICAL + "w 1 2\n")
+@example(CANONICAL + "v 1 v 2\n")
+@example("acc 1\nalpha 1\nlines 03\nv 0 1\n")
+@example("acc 1\nalpha 1\nlines 3\n")
+@example("acc 1\nalpha 1\nlines 3\n\n")
 def test_parse_matches_checked_constructor(text):
     """Every text that parses gives the structure the checked constructor
     gives, and every other text the same ParseError line and message."""
@@ -267,3 +330,57 @@ def test_parse_matches_checked_constructor(text):
     assert outcome == _parse_outcome(reference_parse_structure, text)
     if isinstance(outcome, IncidenceStructure):
         assert all(type(vertex) is tuple and set(map(type, vertex)) == {int} for vertex in outcome.vertices)
+
+
+def test_canonical_parse_shares_one_int_per_id():
+    """Family j = 16 has n = 295 curves, so ids past 256, which CPython
+    does not cache on its own, are each one shared object too."""
+    text = serialize_structure(expand(family_wedge(16)).structure)
+    s = parse_structure(text)
+    assert len({id(cid) for vertex in s.vertices for cid in vertex}) == s.n == 295
+
+
+def test_canonical_parse_skips_the_line_reader(monkeypatch):
+    calls = []
+    real = formats._significant_lines
+    monkeypatch.setattr(formats, "_significant_lines", lambda text: calls.append(text) or real(text))
+    text = serialize_structure(expand(family_wedge(4)).structure)
+    assert serialize_structure(parse_structure(text)) == text
+    assert calls == []
+    parse_structure(text.replace("\n", "\r\n"))
+    assert len(calls) == 1
+
+
+def reference_sniff(text):
+    """sniff_format as it was: the first significant line of the whole text."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            return "wedge" if line.startswith("wedge") else "acc"
+    return "acc"
+
+
+@st.composite
+def sniff_texts(draw):
+    """Lines and line breaks of every kind splitlines knows, with long
+    comments and blanks that put a line end near the 4096- and 8192-char
+    prefix ends, so that a prefix may cut a line or a CRLF in two."""
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    lines = st.one_of(
+        st.sampled_from(["", "  ", "\t", "# note", "#wedge", "wedge 1", " wedge", "acc 1", "v 0 1", "w"]),
+        st.integers(4085, 4100).map(lambda k: "#" + "x" * k),
+        st.integers(4085, 4100).map(lambda k: " " * k),
+        st.integers(8180, 8200).map(lambda k: "#" + " " * k),
+    )
+    parts = draw(st.lists(st.tuples(lines, breaks), max_size=5))
+    return "".join(line + end for line, end in parts) + draw(lines)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(sniff_texts())
+@example("#" + "x" * 4094 + "\r\nwedge 1\n")
+@example(" " * 4095 + "wedge 1\n")
+@example("#" * 5000)
+@example("")
+def test_sniff_format_matches_full_split(text):
+    assert sniff_format(text) == reference_sniff(text)
