@@ -15,15 +15,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from itertools import groupby
+from typing import TYPE_CHECKING
 
-from . import audits, formats, render
+from . import formats
 from .family import family_wedge, gen_near_pencil, gen_pencil, gen_simple_cyclic
 from .limits import SizeLimitExceeded
-from .plane import NotPrime, pg2, sample_lines, structure_from_lines
-from .structure import IncidenceStructure, InvalidStructureError, compute_stats, validate
-from .wedge import ExpansionError, expand
+from .plane import pg2, sample_lines, structure_from_lines
+from .structure import ExpansionError, IncidenceStructure, InvalidStructureError, compute_stats, validate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .audits import DyadicWindowReport
+    from .wedge import ExpandedArrangement, WedgeSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -32,6 +37,15 @@ EXIT_USAGE = 2
 
 class _UsageError(Exception):
     pass
+
+
+def expand(spec: WedgeSpec) -> ExpandedArrangement:
+    """wedge.expand.  wedge.py, like audits.py and render.py, is imported
+    by the code that runs it, so each command loads only its own modules;
+    the traced benchmark wraps this global."""
+    from . import wedge
+
+    return wedge.expand(spec)
 
 
 def _read_input(path: str) -> str:
@@ -67,6 +81,8 @@ def _emit(out_path: str | None, text: str):
 
 
 def _fraction(value: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -203,7 +219,7 @@ def _check(lines: list[str], name: str, holds: bool, margin: str) -> bool:
     return not holds
 
 
-def _printable_lower(report: audits.DyadicWindowReport) -> int:
+def _printable_lower(report: DyadicWindowReport) -> int:
     """The window's lower bound, refused when it has more decimal digits
     than Python turns into text (sys.get_int_max_str_digits(), 0 for no
     limit).  Its bit length decides; the bound and 10^limit are formed only
@@ -220,6 +236,8 @@ def _printable_lower(report: audits.DyadicWindowReport) -> int:
 
 
 def _cmd_audit(args) -> tuple[int, str]:
+    from . import audits
+
     s = _detect_structure(_read_input(args.input))
     lines: list[str] = []
     failed = False
@@ -288,6 +306,8 @@ def _cmd_expand(args) -> tuple[int, str]:
 
 
 def _cmd_render(args) -> tuple[int, str]:
+    from . import render
+
     spec = formats.parse_wedge(_read_input(args.input))
     if args.target == "wedge":
         return EXIT_OK, render.render_wedge(spec)
@@ -314,13 +334,15 @@ def dispatch(argv) -> int:
     try:
         code, text = _COMMANDS[args.command](args)
         _emit(args.out, text)
-    except (formats.ParseError, NotPrime, _UsageError, SizeLimitExceeded) as exc:
+    except (_UsageError, SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ExpansionError, InvalidStructureError) as exc:
+        # InvalidStructureError is a ValueError, so it is caught first.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ValueError as exc:
+        # Input errors: ParseError, NotPrime and the generators' refusals.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

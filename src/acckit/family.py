@@ -27,15 +27,13 @@ size over the budget with SizeLimitExceeded (see limits.check_size).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .limits import check_size
 from .structure import IncidenceStructure
-from .wedge import BOTTOM, TOP, BeamSpec, BounceEvent, WedgeSpec, check_expansion_size
 
-
-def _side(i: int) -> str:
-    """Bounce i of either beam hits the top edge for odd i."""
-    return TOP if i % 2 == 1 else BOTTOM
+if TYPE_CHECKING:
+    from .wedge import WedgeSpec
 
 
 def family_wedge(j: int) -> WedgeSpec:
@@ -45,6 +43,10 @@ def family_wedge(j: int) -> WedgeSpec:
     m + 2m^2; a j whose expansion the budget refuses is refused here, with
     SizeLimitExceeded, before any event is built.
     """
+    # wedge.py is loaded here, not at import, so that the fixture
+    # generators and the .acc commands run without it.
+    from .wedge import BOTTOM, TOP, BeamSpec, BounceEvent, WedgeSpec, check_expansion_size
+
     if j < 1:
         raise ValueError(f"family index must be >= 1, got {j}")
     check_expansion_size(6 * j + 2, 6 * j + 2)
@@ -54,7 +56,7 @@ def family_wedge(j: int) -> WedgeSpec:
     return WedgeSpec(
         m=6 * j + 2,
         beams=tuple(
-            BeamSpec(name, [BounceEvent(_side(i), rank) for i, rank in enumerate(ranks, 1)])
+            BeamSpec(name, [BounceEvent(TOP if i % 2 else BOTTOM, rank) for i, rank in enumerate(ranks, 1)])
             for name, ranks in (("red", red), ("blue", blue))
         ),
     )

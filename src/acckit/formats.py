@@ -19,8 +19,12 @@ bytes.  Canonical .wedge output keeps beams in input order.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .structure import IncidenceStructure, strictly_rising
-from .wedge import BeamSpec, BounceEvent, WedgeSpec
+
+if TYPE_CHECKING:
+    from .wedge import WedgeSpec
 
 
 class ParseError(ValueError):
@@ -176,6 +180,10 @@ def serialize_structure(s: IncidenceStructure) -> str:
 
 
 def parse_wedge(text: str) -> WedgeSpec:
+    # wedge.py is loaded here, not at import, so that reading .acc text
+    # runs without it.
+    from .wedge import BeamSpec, BounceEvent, WedgeSpec
+
     lines = list(_significant_lines(text))
     if not lines:
         raise ParseError(1, "empty input, expected 'wedge 1' header")

@@ -174,6 +174,12 @@ class InvalidStructureError(ValueError):
         super().__init__(f"invalid incidence structure: {summary}")
 
 
+class ExpansionError(Exception):
+    """Base for failures while expanding a wedge; its subclasses live in
+    wedge.py.  It lives here so that the CLI maps it to an exit code
+    without loading the expansion."""
+
+
 def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -> ValidationReport:
     """Check every structure axiom; count every violation exactly and list
     the first 20 of each kind.

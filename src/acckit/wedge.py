@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .limits import check_size
-from .structure import IncidenceStructure, ValidationReport, validate
+from .structure import ExpansionError, IncidenceStructure, ValidationReport, validate
 
 TOP = "T"
 BOTTOM = "B"
@@ -177,10 +177,6 @@ class ExpandedArrangement:
     def apex_degree(self) -> int:
         # The apex is the first vertex built.
         return len(self._ids[0])
-
-
-class ExpansionError(Exception):
-    """Base for failures while expanding a wedge."""
 
 
 class SelfCrossingBeam(ExpansionError):

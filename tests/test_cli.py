@@ -1,6 +1,7 @@
 """End-to-end CLI tests, including the documented pipelines."""
 
 import ast
+import contextlib
 import hashlib
 import io
 import itertools
@@ -14,10 +15,13 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import acckit.cli
 from acckit import (
     IncidenceStructure,
+    expand,
     family_wedge,
     gen_pencil,
     gen_simple_cyclic,
@@ -764,3 +768,125 @@ def test_dyadic_window_prints_up_to_the_digit_limit(capsys, monkeypatch, limit):
                 assert err == f"error: --v {v} makes the dyadic window's lower bound longer than {limit} digits\n"
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# What every command loads: the CLI, the formats, the generators it may
+# dispatch to and the structures they build.
+BASE_MODULES = {"acckit", "acckit.cli", "acckit.family", "acckit.formats", "acckit.limits", "acckit.plane", "acckit.structure"}
+NETWORK_MODULES = {"urllib.request", "http.client", "email"}
+LOAD_PROBE = """
+import sys
+import acckit
+code = 0
+if sys.argv[1:]:
+    from acckit.cli import dispatch
+    code = dispatch(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.split(".")[0] in ("acckit", "fractions", "urllib", "http", "email")))
+"""
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """`import acckit` loads no submodule, and each command loads only the
+    modules it runs: .acc input never loads the expansion, validate and
+    stats on .acc never load fractions, and nothing loads a network module."""
+    acc, wedge = tmp_path / "j1.acc", tmp_path / "j1.wedge"
+    wedge.write_text(serialize_wedge(family_wedge(1)))
+    acc.write_text(serialize_structure(expand(family_wedge(1)).structure))
+    # (argv, acckit modules loaded, whether fractions may load)
+    cases = [
+        ([], {"acckit"}, False),
+        (["validate", acc], BASE_MODULES, False),
+        (["stats", acc], BASE_MODULES, False),
+        (["audit", "pairs", acc], BASE_MODULES | {"acckit.audits"}, True),
+        (["stats", wedge], BASE_MODULES | {"acckit.wedge"}, True),
+        (["gen", "pg2", "--p", "3", "--all"], BASE_MODULES, True),
+        (["gen", "pencil", "--n", "4"], BASE_MODULES, True),
+        (["gen", "family", "--j", "1"], BASE_MODULES | {"acckit.wedge"}, True),
+        (["render", "wedge", wedge], BASE_MODULES | {"acckit.render", "acckit.wedge"}, True),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(acckit.cli.__file__).parents[1])}
+    for argv, modules, fractions in cases:
+        argv = [str(arg) for arg in argv] + (["--out", str(tmp_path / "out")] if argv else [])
+        result = subprocess.run(
+            [sys.executable, "-c", LOAD_PROBE, *argv], capture_output=True, text=True, check=True, env=env, cwd=tmp_path
+        )
+        code, *loaded = result.stdout.split()
+        assert (code, result.stderr) == ("0", ""), argv
+        assert {name for name in loaded if name.split(".")[0] == "acckit"} == modules, argv
+        assert not NETWORK_MODULES & set(loaded), argv
+        assert fractions or "fractions" not in loaded, argv
+
+
+FUZZ_SEEDS = (
+    PENCIL3,
+    serialize_structure(gen_simple_cyclic(4)),
+    "acc 1\nalpha 2\nlines 4\nv 0 1 2\nv 0 1 3\nv 0 2 3\nv 1 2 3\n",
+    serialize_wedge(family_wedge(1)),
+    serialize_wedge(family_wedge(2)),
+)
+FUZZ_TOKENS = st.one_of(
+    st.integers(0, 7).map(str),
+    st.integers(0, 99).map(str),
+    st.builds("{}{}".format, st.sampled_from("TB"), st.integers(0, 7)),
+    st.builds("{}{}".format, st.sampled_from("TB"), st.integers(0, 99)),
+    st.sampled_from(("v", "beam", "acc", "alpha", "lines", "wedge", "m", "#", "-1", "x")),
+)
+FUZZ_HEADERS = st.tuples(st.sampled_from(("acc", "alpha", "lines", "wedge", "m")), st.integers(0, 99)).map(
+    lambda header: [header[0], str(header[1])]
+)
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A small valid .acc or .wedge text after one to four edits: a header
+    line rewritten, or in the body a token deleted, duplicated, swapped
+    with another or replaced by a short number or keyword, or a line
+    dropped or copied."""
+    rows = [line.split() for line in draw(st.sampled_from(FUZZ_SEEDS)).splitlines()]
+    head = 2 if rows[0] == ["wedge", "1"] else 3
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("header", "delete", "duplicate", "swap", "replace", "drop line", "copy line")))
+        if edit == "header":
+            rows[draw(st.integers(0, head - 1))] = draw(FUZZ_HEADERS)
+            continue
+        i = draw(st.integers(head, len(rows) - 1))
+        row = rows[i]
+        k = draw(st.integers(0, len(row) - 1))
+        if edit == "delete":
+            if len(row) > 1:
+                del row[k]
+        elif edit == "duplicate":
+            row.insert(k, row[k])
+        elif edit == "swap":
+            other = rows[draw(st.integers(head, len(rows) - 1))]
+            j = draw(st.integers(0, len(other) - 1))
+            row[k], other[j] = other[j], row[k]
+        elif edit == "replace":
+            row[k] = draw(FUZZ_TOKENS)
+        elif edit == "drop line":
+            if len(rows) > head + 1:
+                del rows[i]
+        else:
+            rows.insert(i, list(row))
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(mutated_inputs())
+def test_dispatch_maps_mutated_inputs_to_exit_codes(text):
+    """Every mutated input ends in exit code 0, 1 or 2 with no traceback;
+    exit 2 prints one error line, and a report lists at most 20 examples
+    of each of its five kinds."""
+    for argv in (["validate", "-"], ["stats", "-"], ["audit", "pairs", "-"]):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(argv)
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert out.getvalue().count("\n") <= 110, argv

@@ -6,6 +6,9 @@ the environment."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -104,12 +107,21 @@ REMOVED_NAMES = (
 
 
 def test_public_names_are_the_allowlist():
+    # The package binds a name on first access, so resolve every one first.
+    for name in dir(acckit):
+        getattr(acckit, name)
     public = {
         name
         for name, value in vars(acckit).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+    star: dict = {}
+    exec("from acckit import *", star)
+    assert star.keys() - {"__builtins__"} == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(acckit, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
     modules = [importlib.import_module(f"acckit.{path.stem}") for path in sorted(PACKAGE.glob("*.py"))]
     holders = modules + [getattr(acckit, name) for name in sorted(PUBLIC_NAMES) if isinstance(getattr(acckit, name), type)]
     left = [
@@ -119,6 +131,22 @@ def test_public_names_are_the_allowlist():
         if hasattr(holder, name) or name in getattr(holder, "__dataclass_fields__", {})
     ]
     assert left == []
+
+
+def test_bare_import_resolves_submodules_and_names():
+    """After a bare `import acckit`, which loads no submodule, a submodule
+    or a name resolves on first access; ExpansionError, which lives in
+    structure.py, is the same class through every path."""
+    probe = (
+        "import acckit\n"
+        "print(acckit.wedge.__name__, acckit.ExpansionError is acckit.wedge.ExpansionError is acckit.structure.ExpansionError)\n"
+        "print(sorted(error.__name__ for error in acckit.ExpansionError.__subclasses__()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout == (
+        "acckit.wedge True\n['NonClosingBeam', 'SelfCrossingBeam', 'ValidationFailed']\n"
+    )
 
 
 def test_only_expansion_and_parsing_build_trusted_structures():
