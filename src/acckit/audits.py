@@ -283,15 +283,20 @@ class DyadicWindowReport:
 
 def integer_power_root(n: int, exponent: Fraction) -> int:
     """floor(n^(a/b)) for rational exponent a/b, via the exact integer
-    b-th root of n^a.  Pure integer arithmetic (binary search)."""
+    b-th root of n^a.  Pure integer arithmetic (binary search).  n^a, of at
+    most a * n.bit_length() bits, is refused over the size budget before it
+    is formed, and the root is 1 without a search once 2^b > n^a."""
     if n < 0:
         raise ValueError("negative base")
     a, b = exponent.numerator, exponent.denominator
     if a == 0:
         return 1
+    check_size(f"{n}^{a}", a * n.bit_length(), "bits")
     target = n**a
     if b == 1 or target < 2:
         return target
+    if b >= target.bit_length():
+        return 1
     low, high = 1, 1 << (target.bit_length() // b + 1)
     while low < high:
         mid = (low + high + 1) // 2

@@ -112,9 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g_pg2 = gen_sub.add_parser("pg2", parents=[common])
     g_pg2.add_argument("--p", type=int, required=True)
-    g_pg2.add_argument("--n", type=int, default=None)
+    lines = g_pg2.add_mutually_exclusive_group(required=True)
+    lines.add_argument("--all", action="store_true")
+    lines.add_argument("--n", type=int)
     g_pg2.add_argument("--seed", type=int, default=0)
-    g_pg2.add_argument("--all", action="store_true")
 
     p_expand = sub.add_parser("expand", help="expand a wedge into a canonical .acc structure", parents=[common])
     p_expand.add_argument("input")
@@ -159,12 +160,7 @@ def _cmd_gen(args) -> tuple[int, str]:
         return EXIT_OK, formats.serialize_structure(gen_simple_cyclic(args.n))
     if args.generator == "pg2":
         plane = pg2(args.p)
-        if args.all:
-            ids = tuple(range(len(plane.lines)))
-        elif args.n is not None:
-            ids = sample_lines(plane, args.n, args.seed)
-        else:
-            raise _UsageError("pg2 needs --all or --n")
+        ids = range(len(plane.lines)) if args.all else sample_lines(plane, args.n, args.seed)
         return EXIT_OK, formats.serialize_structure(structure_from_lines(plane, ids))
     raise AssertionError(args.generator)
 
@@ -219,20 +215,19 @@ def _check(lines: list[str], name: str, holds: bool, margin: str) -> bool:
     return not holds
 
 
-def _printable_lower(report: DyadicWindowReport) -> int:
-    """The window's lower bound, refused when it has more decimal digits
-    than Python turns into text (sys.get_int_max_str_digits(), 0 for no
-    limit).  Its bit length decides; the bound and 10^limit are formed only
-    within a few bits of the cutoff, where digits > limit iff
-    lower >= 10^limit."""
+def _printable_lower(report: DyadicWindowReport) -> str:
+    """The window's lower bound as text, refused when it has more decimal
+    digits than Python turns into text (sys.get_int_max_str_digits(), 0 for
+    no limit): by its bit length well past the limit, without forming it,
+    and otherwise by str(), which raises ValueError exactly then."""
     limit = sys.get_int_max_str_digits()
-    bits = report.v + report.root.bit_length()
-    if limit and bits > limit * math.log2(10) - 4:
-        if bits > limit * math.log2(10) + 4 or report.lower >= 10**limit:
-            raise _UsageError(
-                f"--v {report.v} makes the dyadic window's lower bound longer than {limit} digits"
-            )
-    return report.lower
+    refusal = f"--v {report.v} makes the dyadic window's lower bound longer than {limit} digits"
+    if limit and report.v + report.root.bit_length() > limit * math.log2(10) + 4:
+        raise _UsageError(refusal)
+    try:
+        return str(report.lower)
+    except ValueError:
+        raise _UsageError(refusal) from None
 
 
 def _cmd_audit(args) -> tuple[int, str]:

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import merge
 from itertools import chain, islice
-from operator import itemgetter, lt
+from operator import itemgetter, lt, mul
 from typing import Iterable, Sequence, Union
 
 
@@ -199,26 +199,23 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
     every pair shares alpha >= 1 vertices, any two curves meet, so the
     membership graph is connected and the component count is skipped.
 
-    automorphism, when given, is a permutation of the curve ids that the
-    caller promises maps the multiset of records onto itself, such as the
-    rotation of a wedge expansion.  Pair multiplicity is then constant along
-    its orbits, so the row of one curve per cycle stands for every row.  For
-    alpha = 1, when every record holds at least two ids and each
-    representative meets every other curve exactly once, every pair meets
-    exactly once; then no two records are equal (they would share a pair
-    twice), every curve lies on a record, and any two curves meet, so the
-    structure is connected.  The report is then valid without the pass over
-    all n rows.  Anything else (another alpha, a small record, a
-    representative row that fails) runs the full pass, so every report of an
-    invalid structure is the same with or without the automorphism.
-
-    For alpha = 2, exactly one full record (all n ids, a complete pencil)
-    adds one to every pair, uses every curve and makes any two meet.  The
-    structure is then valid, and connected, when every record holds two or
-    more ids and each curve meets every other exactly once on the other
-    records, by the cheap alpha = 1 row test (a repeated record would meet
-    its pairs twice).  Anything else runs the full pass, so every invalid
-    report is unchanged.
+    One rule skips the full pass.  Let F be the number of full records (all
+    n ids); they add F to every pair.  When every record holds two or more
+    ids, F <= 1 and d = alpha - F is 0 or 1, the other records decide: for
+    d = 0 the structure is valid exactly when the full record is the only
+    one (a pencil), and for d = 1 when each checked curve meets every other
+    curve exactly once on the other records, by the cheap row test.  Every
+    pair then has multiplicity F + d = alpha, so no two records are equal
+    (they would share a pair twice), every curve lies on a record, and any
+    two curves meet, so the structure is connected.  automorphism, when
+    given, is a permutation of the curve ids that the caller promises maps
+    the multiset of records onto itself, such as the rotation of a wedge
+    expansion; pair multiplicity is then constant along its orbits, so the
+    curve starting each cycle stands for its cycle.  Without one every curve
+    is checked, once the pairs of the other records, sum C(|v|, 2), are
+    found to number C(n, 2) by one pass over the record sizes.  Anything
+    else runs the full pass, so every report of an invalid structure is the
+    same with or without the rule or the automorphism.
 
     The structure is immutable, so its report is computed once and kept on
     it; later calls return the same report.
@@ -243,17 +240,24 @@ def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
 
 
 def _rows_meet_once(s: IncidenceStructure, automorphism: Sequence[int] | None) -> bool:
-    """The shortcuts past the full pass (see validate): every record holds
-    two or more ids, and each checked curve meets every other curve exactly
-    once on the records that are not full.  For alpha = 1 with an
-    automorphism the curve starting each of its cycles is checked; for
-    alpha = 2 with exactly one full record every curve is, and that record
-    is skipped.  Anything else takes the full pass."""
+    """The shortcut past the full pass (see validate): every record holds
+    two or more ids, at most one holds all n, and with F full records the
+    others meet every pair d = alpha - F times, for d = 0 or 1.  The curve
+    starting each cycle of the automorphism is checked, or, without one,
+    every curve once the pair count holds.  Anything else takes the full
+    pass."""
     n, vertices = s.n, s.vertices
     sizes = list(map(len, vertices))
-    if min(sizes, default=0) < 2:
+    full = sizes.count(n)
+    if min(sizes, default=0) < 2 or full > 1 or s.alpha - full not in (0, 1):
         return False
-    if s.alpha == 1 and automorphism is not None:
+    if s.alpha == full:
+        return len(vertices) == 1
+    if automorphism is None:
+        if (sum(map(mul, sizes, sizes)) - sum(sizes)) // 2 - full * math.comb(n, 2) != math.comb(n, 2):
+            return False
+        rows = range(n)
+    else:
         rows, seen = [], [False] * n
         for start in range(n):
             if not seen[start]:
@@ -262,12 +266,9 @@ def _rows_meet_once(s: IncidenceStructure, automorphism: Sequence[int] | None) -
                 while not seen[cid]:
                     seen[cid] = True
                     cid = automorphism[cid]
-    elif s.alpha == 2 and sizes.count(n) == 1:
-        rows, vertices = range(n), [vertex for vertex in vertices if len(vertex) < n]
-    else:
-        return False
-    wanted = set(rows)
-    on = _records_by_curve(vertex for vertex in vertices if not wanted.isdisjoint(vertex))
+        wanted = set(rows)
+        vertices = [vertex for vertex in vertices if not wanted.isdisjoint(vertex)]
+    on = _records_by_curve(vertex for vertex in vertices if len(vertex) < n)
     return all(_meets_each_once(on.get(i, []), n) for i in rows)
 
 

@@ -188,6 +188,43 @@ def test_integer_power_root():
     assert integer_power_root(2, Fraction(9, 10)) == 1
 
 
+def reference_power_root(n, exponent):
+    """The binary search for floor(n^(a/b)) over n^a, kept as a reference
+    without the size check and the 2^b > n^a shortcut."""
+    a, b = exponent.numerator, exponent.denominator
+    if a == 0:
+        return 1
+    target = n**a
+    if b == 1 or target < 2:
+        return target
+    low, high = 1, 1 << (target.bit_length() // b + 1)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if mid**b <= target:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+@settings(derandomize=True, max_examples=400)
+@given(
+    root=st.integers(0, 40),
+    b=st.integers(1, 40),
+    a=st.integers(0, 12),
+    shift=st.sampled_from((-1, 0, 1)),
+    perfect=st.booleans(),
+)
+@example(root=3, b=2, a=1, shift=0, perfect=True)
+@example(root=1, b=7, a=3, shift=1, perfect=False)
+def test_integer_power_root_matches_binary_search(root, b, a, shift, perfect):
+    """Bases next to perfect b-th powers, and plain small bases, where
+    2^b > n^a and the root is 1 without a search."""
+    n = max(0, (root**b if perfect else root) + shift)
+    exponent = Fraction(a, b)
+    assert integer_power_root(n, exponent) == reference_power_root(n, exponent)
+
+
 def test_dyadic_whole_range():
     s = gen_simple_cyclic(9)
     stats = compute_stats(s)

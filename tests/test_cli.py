@@ -141,6 +141,9 @@ def test_gen_pg2_composite_exits_two(capsys):
 def test_gen_pg2_needs_all_or_n(capsys):
     code, _, err = run_cli(["gen", "pg2", "--p", "5"], capsys)
     assert code == 2
+    code, out, err = run_cli(["gen", "pg2", "--p", "7", "--all", "--n", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --n: not allowed with argument --all" in err
 
 
 def test_audit_thm3(capsys, monkeypatch):
@@ -282,10 +285,11 @@ def test_render_rank_underflow_exits_two(capsys, monkeypatch, target):
     assert err == "error: radius map must preserve rank order\n"
 
 
-def run_capped(argv):
+def run_capped(argv, stdin_text=None):
     """Run the CLI in a subprocess with address space capped at 1 GiB and
     time at 60 s, so that a regression fails with MemoryError or a timeout
-    instead of exhausting the machine."""
+    instead of exhausting the machine; stdin_text, when given, is its
+    standard input."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -294,6 +298,7 @@ def run_capped(argv):
     env.pop("ACCKIT_EXPAND_BUDGET", None)
     return subprocess.run(
         [sys.executable, "-m", "acckit", *argv],
+        input=stdin_text,
         capture_output=True,
         text=True,
         env=env,
@@ -741,6 +746,61 @@ def test_dyadic_huge_v_is_decided_by_bit_lengths(tmp_path, v, quiet, code):
     else:
         assert result.stdout == "CHECK dyadic.total holds 300/300\n"
     assert elapsed < 1.0
+
+
+GAMMA_DENOMINATOR = 10**60
+
+
+@pytest.mark.parametrize(
+    "gamma, code, out, err",
+    [
+        (
+            f"1/{GAMMA_DENOMINATOR}",
+            0,
+            "NOTE dyadic window 1 25\nNOTE dyadic empty false\nNOTE dyadic below 0\n"
+            "NOTE dyadic inside 300\nNOTE dyadic above 0\nCHECK dyadic.total holds 300/300\n",
+            "",
+        ),
+        (
+            f"{GAMMA_DENOMINATOR - 1}/{GAMMA_DENOMINATOR}",
+            2,
+            "",
+            f"error: 25^{GAMMA_DENOMINATOR - 1} needs {5 * (GAMMA_DENOMINATOR - 1)} bits, "
+            "budget is 10000000; raise ACCKIT_EXPAND_BUDGET to proceed\n",
+        ),
+    ],
+)
+def test_dyadic_root_of_huge_gamma_terms_is_bounded(tmp_path, gamma, code, out, err):
+    """gamma = a/b with a 60-digit b: 2^b > 25 gives the root 1 without a
+    search, and 25^a is refused by its bit count before it is formed.  Both
+    ran past a 10 s timeout before.  Never run these inputs without the cap."""
+    path = tmp_path / "j1.wedge"
+    path.write_text(serialize_wedge(family_wedge(1)))
+    start = time.perf_counter()
+    result = run_capped(["audit", "dyadic", str(path), "--gamma", gamma, "--v", "0"])
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["validate", "-"], "valid alpha=1 n=40000 vertices=1\n"),
+        (["stats", "-", "--format", "machine"], "STAT alpha 1\nSTAT n 40000\nSTAT vertices 1\nSTAT r 1\nTK 40000 1\nLD 40000 799980000\n"),
+        (["audit", "pairs", "-"], "CHECK pairs holds 799980000/799980000\n"),
+    ],
+)
+def test_large_pencil_is_valid_in_closed_form(argv, out):
+    """A pencil is valid exactly when it is the only record, so its
+    C(n, 2) pairs are never walked: the row pass took about a minute at
+    n = 40,000.  Never run this input without the cap."""
+    pencil = serialize_structure(gen_pencil(40000))
+    start = time.perf_counter()
+    result = run_capped(argv, pencil)
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("limit", [640, 4300])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import acckit.structure
 from acckit import (
     Disconnected,
     DuplicateVertex,
@@ -21,6 +22,7 @@ from acckit import (
     family_wedge,
     expand,
     gen_near_pencil,
+    gen_pencil,
     gen_simple_cyclic,
     parse_structure,
     pg2,
@@ -622,4 +624,77 @@ def full_record_structures(draw):
 @settings(derandomize=True, max_examples=400)
 @given(full_record_structures())
 def test_full_record_structures_match_seed_algorithm(s):
+    assert_bounded_seed_report(validate(s), s)
+
+
+def family_acc(j):
+    """Family j read back from its .acc text, so no automorphism comes with it."""
+    return parse_structure(serialize_structure(expand(family_wedge(j)).structure))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        *(family_acc(j) for j in (1, 2, 3, 4)),
+        *(plane(p) for p in (2, 3, 5, 7)),
+        gen_simple_cyclic(9),
+        gen_near_pencil(9),
+        gen_pencil(9),
+        IncidenceStructure(1, 2, [(0, 1)]),
+    ],
+)
+def test_valid_alpha_one_structures_skip_full_pass(monkeypatch, s):
+    """With no automorphism every row is checked, and a pencil is valid by
+    the closed form."""
+    monkeypatch.setattr("acckit.structure._full_report", None)
+    assert validate(s) == ValidationReport(valid=True, violations=())
+
+
+def _merged(records):
+    """records with the first two merged into one."""
+    return [tuple(sorted(set(records[0]) | set(records[1])))] + records[2:]
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize(
+    "change",
+    [lambda records: records[1:], lambda records: records + records[:1], _merged],
+    ids=["dropped", "duplicated", "merged"],
+)
+def test_broken_family_records_fail_the_pair_count(monkeypatch, j, change):
+    """A dropped, repeated or merged record changes the pairs the records
+    hold, so the full pass runs without a row check before it: the only
+    curve -> records index built is the full pass's own."""
+    s = IncidenceStructure(1, family_acc(j).n, change(list(family_acc(j).vertices)))
+    calls = []
+    index = acckit.structure._records_by_curve
+
+    def counted(vertices):
+        calls.append(1)
+        return index(vertices)
+
+    monkeypatch.setattr("acckit.structure._records_by_curve", counted)
+    report = validate(s)
+    assert len(calls) == 1
+    assert not report.valid
+    assert_bounded_seed_report(report, s)
+
+
+@st.composite
+def pencil_structures(draw):
+    """A pencil of n <= 12 curves at alpha = 1 plus up to two random
+    records of any size, relabelled and shuffled."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    extra = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    records = [range(n), *draw(st.lists(extra, max_size=2))]
+    label = draw(st.permutations(range(n)))
+    return IncidenceStructure(1, n, draw(st.permutations([[label[cid] for cid in v] for v in records])))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(pencil_structures())
+@example(IncidenceStructure(1, 5, [range(5), (0, 1)]))
+@example(IncidenceStructure(1, 5, [range(5), range(5)]))
+@example(IncidenceStructure(1, 5, [range(5), (3,)]))
+def test_pencil_structures_match_seed_algorithm(s):
     assert_bounded_seed_report(validate(s), s)
