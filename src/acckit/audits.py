@@ -71,17 +71,22 @@ def ceil_isqrt(x: int) -> int:
 
 
 def audit_tk_bounds(stats: Stats, alpha: int, n: int) -> TkBoundsReport:
-    """Check both t_k upper bounds for every k in 2..n.
+    """Check both t_k upper bounds over every k in 2..n.
 
-    Entries cover all k from 2 to n even when t_k is zero, so equality cases
-    and vacuous cases are visible in the report.
+    Entries cover each k in 2..n that occurs, plus the largest k in 2..n
+    with t_k = 0.  Both bounds fall as k grows, so of the vacuous k that one
+    has the least margin in each part, and it lies in part 2's range
+    whenever any vacuous k does: the report's verdicts and least margins
+    are those over every k in 2..n.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     pair_total = alpha * math.comb(n, 2)
     threshold_k = alpha * ceil_isqrt(2 * n)
     entries = []
-    for k in range(2, n + 1):
+    # The largest k with t_k = 0, or 0 when every k in 2..n occurs.
+    vacuous = next((k for k in range(n, 1, -1) if k not in stats.tk), 0)
+    for k in sorted(k for k in (*stats.tk, vacuous) if 2 <= k <= n):
         tk = stats.tk.get(k, 0)
         bound1 = Fraction(pair_total, math.comb(k, 2))
         applicable = k >= threshold_k
@@ -370,8 +375,9 @@ def dichotomy_report(s: IncidenceStructure, fraction) -> DichotomyReport:
     coverage, witness = _best_subset_coverage(s)
     vertex_count = len(s.vertices)
 
-    complete = vertex_count == s.alpha and all(len(v) == s.n for v in s.vertices)
-    if complete:
+    # A valid structure with one record is the alpha = 1 pencil; alpha full
+    # records would be equal for alpha > 1.
+    if vertex_count == 1:
         branch = BRANCH_COMPLETE_PENCIL
     elif coverage >= fraction * s.n:
         branch = BRANCH_LARGE_COVERAGE

@@ -24,6 +24,9 @@ _RADIUS_BASE = Fraction(100)
 _RADIUS_RATIO = Fraction(4, 5)
 _BEAM_STROKES = {"red": "#c0392b", "blue": "#2f5fc0"}
 _PALETTE = ("#2e8b57", "#8e44ad", "#b8860b", "#16a085", "#aa3377", "#557711")
+# (4/5)**4 <= 1/2 and 100 < 2**7, so from rank 4 * (7 + 1075) on the radius
+# 100 * (4/5)**rank lies below 2**-1075 and its float is 0.0.
+_UNDERFLOW_RANK = 4 * (7 + 1075)
 
 
 # Written out rather than taken from xml.sax.saxutils, whose import pulls in
@@ -37,24 +40,12 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _underflow_rank(base: Fraction, ratio: Fraction) -> int:
-    """A rank from which on the radius base * ratio**rank lies below
-    2**-1075, so its float is 0.0, found from bit lengths: with ratio**c <=
-    1/2 the radius is at most base * 2**-(rank // c), and base <
-    2**(len(numerator) - len(denominator) + 1) for bit lengths len."""
-    c, power = 1, ratio
-    while 2 * power.numerator > power.denominator:
-        c, power = 2 * c, power * power
-    return c * (base.numerator.bit_length() - base.denominator.bit_length() + 1 + 1075)
-
-
 def _radii(spec: WedgeSpec) -> dict[int, float]:
     """The float radius of every rank the beams bounce at, checked to keep
     the rank order.  Past the underflow rank it is 0.0 without forming the
     exact power."""
-    cutoff = _underflow_rank(_RADIUS_BASE, _RADIUS_RATIO)
     ranks = {e.rank for beam in spec.beams for e in beam.events}
-    radii = {rank: 0.0 if rank >= cutoff else float(_RADIUS_BASE * _RADIUS_RATIO**rank) for rank in ranks}
+    radii = {rank: 0.0 if rank >= _UNDERFLOW_RANK else float(_RADIUS_BASE * _RADIUS_RATIO**rank) for rank in ranks}
     ordered = sorted(radii)
     for a, b in zip(ordered, ordered[1:]):
         if not radii[a] > radii[b]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from heapq import merge
 from itertools import chain, islice
 from operator import itemgetter, lt, mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class ExpansionError(Exception):
     without loading the expansion."""
 
 
-def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -> ValidationReport:
+def validate(s: IncidenceStructure, representatives: Iterable[int] | None = None) -> ValidationReport:
     """Check every structure axiom; count every violation exactly and list
     the first 20 of each kind.
 
@@ -207,15 +207,16 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
     curve exactly once on the other records, by the cheap row test.  Every
     pair then has multiplicity F + d = alpha, so no two records are equal
     (they would share a pair twice), every curve lies on a record, and any
-    two curves meet, so the structure is connected.  automorphism, when
-    given, is a permutation of the curve ids that the caller promises maps
-    the multiset of records onto itself, such as the rotation of a wedge
-    expansion; pair multiplicity is then constant along its orbits, so the
-    curve starting each cycle stands for its cycle.  Without one every curve
-    is checked, once the pairs of the other records, sum C(|v|, 2), are
-    found to number C(n, 2) by one pass over the record sizes.  Anything
+    two curves meet, so the structure is connected.  representatives, when
+    given, are curve ids that the caller promises meet every orbit of some
+    permutation of the curve ids that maps the multiset of records onto
+    itself, such as one curve per rotation orbit of a wedge expansion; pair
+    multiplicity is then constant along those orbits, so only their rows,
+    over the records that hold one of them, are checked.  Without them every
+    curve is checked, once the pairs of the other records, sum C(|v|, 2),
+    are found to number C(n, 2) by one pass over the record sizes.  Anything
     else runs the full pass, so every report of an invalid structure is the
-    same with or without the rule or the automorphism.
+    same with or without the rule or the representatives.
 
     The structure is immutable, so its report is computed once and kept on
     it; later calls return the same report.
@@ -224,7 +225,7 @@ def validate(s: IncidenceStructure, automorphism: Sequence[int] | None = None) -
         return s._report
     if s.n < 2:
         raise ValueError(f"validation requires at least 2 curves, got {s.n}")
-    if _rows_meet_once(s, automorphism):
+    if _rows_meet_once(s, representatives):
         report = ValidationReport(valid=True, violations=())
     else:
         report = _full_report(s)
@@ -239,13 +240,12 @@ def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
     return sum(map(len, records)) - len(records) == n - 1 and len(set(chain.from_iterable(records))) == n
 
 
-def _rows_meet_once(s: IncidenceStructure, automorphism: Sequence[int] | None) -> bool:
+def _rows_meet_once(s: IncidenceStructure, representatives: Iterable[int] | None) -> bool:
     """The shortcut past the full pass (see validate): every record holds
     two or more ids, at most one holds all n, and with F full records the
-    others meet every pair d = alpha - F times, for d = 0 or 1.  The curve
-    starting each cycle of the automorphism is checked, or, without one,
-    every curve once the pair count holds.  Anything else takes the full
-    pass."""
+    others meet every pair d = alpha - F times, for d = 0 or 1.  The
+    representatives are checked, or, without them, every curve once the
+    pair count holds.  Anything else takes the full pass."""
     n, vertices = s.n, s.vertices
     sizes = list(map(len, vertices))
     full = sizes.count(n)
@@ -253,21 +253,13 @@ def _rows_meet_once(s: IncidenceStructure, automorphism: Sequence[int] | None) -
         return False
     if s.alpha == full:
         return len(vertices) == 1
-    if automorphism is None:
+    if representatives is None:
         if (sum(map(mul, sizes, sizes)) - sum(sizes)) // 2 - full * math.comb(n, 2) != math.comb(n, 2):
             return False
         rows = range(n)
     else:
-        rows, seen = [], [False] * n
-        for start in range(n):
-            if not seen[start]:
-                rows.append(start)
-                cid = start
-                while not seen[cid]:
-                    seen[cid] = True
-                    cid = automorphism[cid]
-        wanted = set(rows)
-        vertices = [vertex for vertex in vertices if not wanted.isdisjoint(vertex)]
+        rows = set(representatives)
+        vertices = [vertex for vertex in vertices if not rows.isdisjoint(vertex)]
     on = _records_by_curve(vertex for vertex in vertices if len(vertex) < n)
     return all(_meets_each_once(on.get(i, []), n) for i in rows)
 
@@ -386,12 +378,13 @@ class Stats:
 def compute_stats(s: IncidenceStructure) -> Stats:
     """Compute tk, r and the pair-minimum-degree profile.
 
-    Rejects invalid structures with :class:`InvalidStructureError`.  For
-    alpha = 1 each pair lies in exactly one vertex, so l_d has the closed
-    form t_d * C(d, 2).  So does alpha = 2 with t_n = 1, over d < n: each
-    pair's two vertices are the full record and one of degree d < n, the
-    minimum.  For other alpha each curve walks its vertices in rising
-    degree and credits every curve it has not met yet to the degree
+    Rejects invalid structures with :class:`InvalidStructureError`.  By
+    validate's rule the F = t_n full records add F to every pair.  When
+    alpha - F <= 1, every pair lies in at most one other vertex, of degree
+    d < n and so the minimum, and l_d has the closed form t_d * C(d, 2) over
+    d < n; for the pencil (alpha = F) the full record is every pair's only
+    vertex, C(n, 2) at d = n.  Otherwise each curve walks its vertices in
+    rising degree and credits every curve it has not met yet to the degree
     of the vertex where they first meet, the least degree over that pair's
     vertices; it stops once it has met all n curves.  Each pair is credited
     once from each of its two curves, so the totals are halved.
@@ -403,10 +396,8 @@ def compute_stats(s: IncidenceStructure) -> Stats:
     incidences = Counter(chain.from_iterable(s.vertices))
     tk: Counter[int] = Counter(map(len, s.vertices))
 
-    if s.alpha == 1 or (s.alpha == 2 and tk[s.n] == 1):
-        ld = {d: count * math.comb(d, 2) for d, count in tk.items()}
-        if s.alpha == 2:
-            del ld[s.n]  # the full record is no pair's least-degree vertex
+    if s.alpha - tk[s.n] <= 1:
+        ld = {d: count * math.comb(d, 2) for d, count in tk.items() if d < s.n or s.alpha == tk[s.n]}
     else:
         on = _records_by_curve(sorted(s.vertices, key=len))
         twice: Counter[int] = Counter()

@@ -152,18 +152,21 @@ class ExpandedArrangement:
     line_labels[i] describes curve id i; vertex_labels[j] describes
     structure.vertices[j].  paths holds every beam copy's boundary
     traversal in curve id order, for the renderer.  Expansion itself builds
-    only the curve ids; vertex_labels and paths are built on first read and
-    then kept.  The structure always passes validation with alpha = 1;
-    expansion raises instead of returning anything weaker.
+    only the curve ids; line_labels, vertex_labels and paths are built on
+    first read and then kept.  The structure always passes validation with
+    alpha = 1; expansion raises instead of returning anything weaker.
     """
 
     def __init__(self, structure: IncidenceStructure, expansion: _Expansion, ids: list[tuple[int, ...]]):
         self.structure = structure
-        self.line_labels: tuple[LineLabel, ...] = expansion.line_labels()
         self._expansion = expansion
         # The records in the order they were built; structure.vertices holds
         # them sorted.
         self._ids = ids
+
+    @cached_property
+    def line_labels(self) -> tuple[LineLabel, ...]:
+        return self._expansion.line_labels()
 
     @cached_property
     def vertex_labels(self) -> tuple[VertexLabel, ...]:
@@ -175,8 +178,8 @@ class ExpandedArrangement:
         return self._expansion.paths()
 
     def apex_degree(self) -> int:
-        # The apex is the first vertex built.
-        return len(self._ids[0])
+        # The apex record holds the m mirrors.
+        return self._expansion.m
 
 
 class SelfCrossingBeam(ExpansionError):
@@ -380,28 +383,23 @@ class _Expansion:
             labels.extend(map(Crossing, range(self.nw)))
         return labels
 
-    def rotation(self) -> list[int]:
-        """Curve ids under rotation by two wedge images: mirror i goes to
-        mirror i + 2 mod m, each beam's copy entering at wedge 2i to the one
-        entering at 2i + 2, and the line at infinity stays.
-
-        A copy's whole route moves two wedges on with its entry, and every
-        record vertex_ids builds is indexed by ray or wedge, so the map
-        carries the records onto themselves.
-        """
-        m = self.m
-        image = [(i + 2) % m for i in range(m)] + [self.infinity_id] * (self.n - m)
-        for entered in self.entered:
-            for copy, rotated in zip(entered, entered[1:] + entered[:1]):
-                image[copy] = rotated
-        return image
+    def orbit_starts(self) -> list[int]:
+        """One curve id per orbit of the rotation by two wedge images, rising:
+        mirror 0, mirror 1 when m is even, each beam's copy entering at
+        wedge 0 (the least of its m ids) and the line at infinity.  The
+        rotation sends mirror i to i + 2 mod m and each copy entering at
+        wedge 2i to the one entering at 2i + 2, and fixes the line at
+        infinity; a copy's whole route moves two wedges on with its entry,
+        and every record vertex_ids builds is indexed by ray or wedge, so it
+        carries the records onto themselves."""
+        return [*range(2 - self.m % 2), *(entered[0] for entered in self.entered), self.infinity_id]
 
     def arrangement(self) -> ExpandedArrangement:
         ids = self.vertex_ids()
         # Every record is a rising tuple of ids within 0..n-1 by
         # construction (see vertex_ids).
         structure = IncidenceStructure.trusted(1, self.n, sorted(ids))
-        report = validate(structure, self.rotation())
+        report = validate(structure, self.orbit_starts())
         if not report.valid:
             raise ValidationFailed(report)
         return ExpandedArrangement(structure, self, ids)
@@ -419,8 +417,8 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     assembled structure is not a genuine alpha = 1 incidence structure.
 
     The expansion is symmetric under rotation by two wedge images, so it is
-    validated by rotation orbits (validate given the rotation): one curve
-    per orbit is checked instead of all n.  A failure runs the full check,
+    validated by rotation orbits (validate given one curve per orbit): those
+    curves are checked instead of all n.  A failure runs the full check,
     so ValidationFailed carries the same report either way.
     """
     return _Expansion(spec).arrangement()

@@ -15,6 +15,9 @@ from acckit import (
     IncidenceStructure,
     InvalidStructureError,
     SizeLimitExceeded,
+    Stats,
+    TkBoundEntry,
+    TkBoundsReport,
     audit_dirac,
     audit_pair_identity,
     audit_tk_bounds,
@@ -88,17 +91,63 @@ def test_tk_bounds_family_brute_force():
     assert report.part1_holds and report.part2_holds
 
 
+def reference_tk_bounds(stats, alpha, n):
+    """Both bounds at every k in 2..n, as the audit once built them."""
+    pair_total = alpha * math.comb(n, 2)
+    threshold_k = alpha * ceil_isqrt(2 * n)
+    entries = []
+    for k in range(2, n + 1):
+        tk = stats.tk.get(k, 0)
+        bound1 = Fraction(pair_total, math.comb(k, 2))
+        applicable = k >= threshold_k
+        bound2 = Fraction(2 * alpha * n, k)
+        entries.append(
+            TkBoundEntry(
+                k=k,
+                tk=tk,
+                bound1=bound1,
+                holds1=tk <= bound1,
+                margin1=bound1 - tk,
+                bound2_applicable=applicable,
+                bound2=bound2,
+                holds2=(tk < bound2) if applicable else True,
+                margin2=bound2 - tk if applicable else None,
+            )
+        )
+    return TkBoundsReport(alpha=alpha, n=n, threshold_k=threshold_k, entries=tuple(entries))
+
+
+def assert_tk_verdicts_match_reference(stats, alpha, n):
+    """The audit's verdicts and least margins are those over every k in
+    2..n, and each entry it builds is the reference's entry at that k."""
+    report, reference = audit_tk_bounds(stats, alpha, n), reference_tk_bounds(stats, alpha, n)
+    assert (report.alpha, report.n, report.threshold_k) == (reference.alpha, reference.n, reference.threshold_k)
+    assert (report.part1_holds, report.part2_holds) == (reference.part1_holds, reference.part2_holds)
+    assert report.part1_min_margin() == reference.part1_min_margin()
+    assert report.part2_min_margin() == reference.part2_min_margin()
+    assert set(report.entries) <= set(reference.entries)
+    assert [e.k for e in report.entries] == sorted(e.k for e in report.entries)
+
+
 def test_tk_bounds_cover_every_k():
+    """Entries cover the degrees that occur and the largest vacuous one,
+    which decide the verdicts over every k."""
     s = gen_pencil(6)
     report = audit_tk_bounds(compute_stats(s), 1, 6)
-    assert [e.k for e in report.entries] == list(range(2, 7))
+    assert [e.k for e in report.entries] == [5, 6]
     assert report.threshold_k == ceil_isqrt(12)
+    assert_tk_verdicts_match_reference(compute_stats(s), 1, 6)
+
+
+def test_tk_bounds_of_a_large_pencil_have_two_entries():
+    report = audit_tk_bounds(compute_stats(gen_pencil(10**5)), 1, 10**5)
+    assert [e.k for e in report.entries] == [10**5 - 1, 10**5]
 
 
 def test_tk_part2_applicability_threshold():
     # n=8: ceil(sqrt(16)) = 4 exactly, so k=4 is the first applicable degree.
-    s = gen_simple_cyclic(8)
-    report = audit_tk_bounds(compute_stats(s), 1, 8)
+    stats = Stats(tk={k: 1 for k in range(2, 9)}, r=1, ld={})
+    report = audit_tk_bounds(stats, 1, 8)
     applicable = [e.k for e in report.entries if e.bound2_applicable]
     assert applicable == [4, 5, 6, 7, 8]
 
@@ -294,6 +343,10 @@ def test_dichotomy_pencil():
     report = dichotomy_report(gen_pencil(7), Fraction(1, 2))
     assert report.branch == "IsCompletePencil"
     assert report.coverage == 7
+    # Only a single record takes the complete branch, not alpha = 2 over a
+    # full record nor alpha = 2 without one.
+    for s in (QUAD, pencil_over_plane(3)):
+        assert dichotomy_report(s, Fraction(1, 2)).branch != "IsCompletePencil"
 
 
 def test_dichotomy_family_large_coverage():
@@ -366,6 +419,7 @@ def test_tk_bounds_hold_on_random_plane_structures(s):
     report = audit_tk_bounds(stats, s.alpha, s.n)
     assert report.part1_holds
     assert report.part2_holds
+    assert_tk_verdicts_match_reference(stats, s.alpha, s.n)
 
 
 @settings(derandomize=True, max_examples=80)
@@ -505,6 +559,7 @@ def with_pencil(s):
 @pytest.mark.parametrize(
     "s",
     [
+        gen_pencil(9),
         with_pencil(gen_near_pencil(9)),
         with_pencil(gen_simple_cyclic(8)),
         # alpha = 3 keeps the walk: records of degrees 2, 3, 6 and 7.
@@ -512,10 +567,11 @@ def with_pencil(s):
             IncidenceStructure(2, 7, structure_from_lines(pg2(2), range(7)).vertices + gen_near_pencil(7).vertices)
         ),
     ],
-    ids=["near-pencil+pencil", "simple+pencil", "alpha3"],
+    ids=["pencil", "near-pencil+pencil", "simple+pencil", "alpha3"],
 )
 def test_full_record_stats_match_naive(s):
-    """For alpha = 2 with one full record, l_d is t_d * C(d, 2) over d < n."""
+    """With F full records and alpha - F <= 1, l_d is t_d * C(d, 2) over
+    d < n, plus C(n, 2) at d = n for the alpha = 1 pencil."""
     stats = compute_stats(s)
     assert stats.ld == naive_ld(s)
     assert stats.tk == dict(sorted(naive_tk(s).items()))
@@ -535,3 +591,25 @@ def test_refused_search_builds_no_index(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         dichotomy_report(QUAD, Fraction(1, 2))
     assert audit_dirac(gen_near_pencil(6)).h == 5
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        gen_pencil(6),
+        gen_near_pencil(6),
+        gen_simple_cyclic(10),
+        expand(family_wedge(1)).structure,
+        expand(family_wedge(2)).structure,
+        structure_from_lines(pg2(3), range(13)),
+        QUAD,
+        TRIPLES,
+        ALL_BUT_ONE,
+        pencil_over_plane(2),
+        pencil_over_plane(5),
+        with_pencil(gen_near_pencil(9)),
+    ],
+    ids=["pencil", "near-pencil", "simple", "j1", "j2", "pg3", "quad", "triples", "all-but-one", "pg2+pencil", "pg5+pencil", "near-pencil+pencil"],
+)
+def test_tk_bounds_match_every_k_reference(s):
+    assert_tk_verdicts_match_reference(compute_stats(s), s.alpha, s.n)

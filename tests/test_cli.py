@@ -7,7 +7,6 @@ import io
 import itertools
 import math
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -31,6 +30,7 @@ from acckit import (
     structure_from_lines,
 )
 from acckit.cli import dispatch
+from conftest import run_capped
 
 BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 PENCIL3 = "acc 1\nalpha 1\nlines 3\nv 0 1 2\n"
@@ -283,28 +283,6 @@ def test_render_rank_underflow_exits_two(capsys, monkeypatch, target):
     code, out, err = run_cli(["render", target, "-"], capsys, wedge, monkeypatch)
     assert (code, out) == (2, "")
     assert err == "error: radius map must preserve rank order\n"
-
-
-def run_capped(argv, stdin_text=None):
-    """Run the CLI in a subprocess with address space capped at 1 GiB and
-    time at 60 s, so that a regression fails with MemoryError or a timeout
-    instead of exhausting the machine; stdin_text, when given, is its
-    standard input."""
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = {**os.environ, "PYTHONPATH": str(Path(acckit.cli.__file__).parents[1])}
-    env.pop("ACCKIT_EXPAND_BUDGET", None)
-    return subprocess.run(
-        [sys.executable, "-m", "acckit", *argv],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=cap,
-        timeout=60,
-    )
 
 
 def test_huge_order_non_closing_wedge_exits_before_allocating(tmp_path):
@@ -801,6 +779,21 @@ def test_large_pencil_is_valid_in_closed_form(argv, out):
     elapsed = time.perf_counter() - start
     assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
     assert elapsed < 5.0
+
+
+def test_thm3_of_a_huge_pencil_builds_only_the_deciding_entries():
+    """Theorem 3's audit builds entries for the degrees that occur and the
+    largest vacuous one, not for every k in 2..n: one entry per k ran out
+    of memory at n = 1,500,000.  Never run this input without the cap."""
+    result = run_capped(["audit", "thm3", "-"], serialize_structure(gen_pencil(1_500_000)))
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (
+        "CHECK thm3.part1.k1500000 holds 0/1\n"
+        "CHECK thm3.part2.k1500000 holds 1/1\n"
+        "CHECK thm3.part1 holds 0/1\n"
+        "CHECK thm3.part2 holds 1/1\n"
+    )
 
 
 @pytest.mark.parametrize("limit", [640, 4300])

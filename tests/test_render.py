@@ -2,12 +2,8 @@
 golden digests of the fixed style."""
 
 import hashlib
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
@@ -15,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acckit import BeamSpec, BounceEvent, WedgeSpec, family_wedge, render, render_arrangement, render_wedge
+from conftest import run_capped
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -105,27 +102,14 @@ def test_escaping_matches_saxutils(text):
     assert render._attr(text) == escape(text, {'"': "&quot;"})
 
 
-@pytest.mark.parametrize(
-    "base, ratio",
-    [
-        (100, Fraction(4, 5)),
-        (1, Fraction(1, 2)),
-        (Fraction(1, 3), Fraction(99, 100)),
-        (10**30, Fraction(2, 3)),
-        (Fraction(1, 2**1100), Fraction(1, 2)),
-    ],
-)
-def test_underflow_rank_is_where_floats_are_zero(base, ratio):
+def test_underflow_rank_is_where_floats_are_zero():
     """From the underflow rank on, the exact radius rounds to 0.0, so taking
     0.0 there without forming it changes no output; and the bound is within
     a factor 2 of the first rank that rounds to 0.0."""
-    base = Fraction(base)
-    cutoff = render._underflow_rank(base, ratio)
-    if cutoff > 0:
-        assert float(base * ratio**cutoff) == 0.0
-        assert float(base * ratio ** (cutoff // 2)) > 0.0
-    else:
-        assert float(base) == 0.0
+    base, ratio, cutoff = render._RADIUS_BASE, render._RADIUS_RATIO, render._UNDERFLOW_RANK
+    assert (base, ratio) == (100, Fraction(4, 5))
+    assert float(base * ratio**cutoff) == 0.0
+    assert float(base * ratio ** (cutoff // 2)) > 0.0
 
 
 @pytest.mark.parametrize("target", ["wedge", "arrangement"])
@@ -135,21 +119,7 @@ def test_render_far_rank_finishes(tmp_path, target):
     never run this input without the cap."""
     path = tmp_path / "far.wedge"
     path.write_text("wedge 1\nm 2\nbeam a T1000000000\n")
-
-    def cap():
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = {**os.environ, "PYTHONPATH": str(Path(render.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "acckit", "render", target, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=cap,
-        timeout=60,
-    )
+    result = run_capped(["render", target, str(path)])
     assert (result.returncode, result.stderr) == (0, "")
     assert _count(result.stdout, "polyline", "beam") == (1 if target == "wedge" else 2)
 

@@ -474,15 +474,17 @@ def test_validate_matches_seed_algorithm_on_fixtures(s):
 @given(messy_structures())
 def test_validate_with_identity_rotation_matches_seed_algorithm(s):
     """The identity is an automorphism of every structure, and each curve is
-    its own orbit, so the shortcut checks every row; a valid report must
-    then be right and anything else must come from the full pass."""
-    assert_bounded_seed_report(validate(s, list(range(s.n))), s)
+    its own orbit, so with every curve as a representative the shortcut
+    checks every row; a valid report must then be right and anything else
+    must come from the full pass."""
+    assert_bounded_seed_report(validate(s, range(s.n)), s)
 
 
 def _cyclic(n, vertices):
-    """A structure on Z_n closed under i -> i + 1, with that rotation."""
+    """A structure on Z_n closed under i -> i + 1, whose one curve orbit
+    curve 0 meets, with [0] as its representatives."""
     records = {tuple(sorted((cid + shift) % n for cid in v)) for v in vertices for shift in range(n)}
-    return IncidenceStructure(1, n, sorted(records)), [(cid + 1) % n for cid in range(n)]
+    return IncidenceStructure(1, n, sorted(records)), [0]
 
 
 @pytest.mark.parametrize(
@@ -500,14 +502,25 @@ def _cyclic(n, vertices):
     ],
 )
 def test_validate_with_cyclic_rotation_matches_seed_algorithm(n, base):
-    s, rotation = _cyclic(n, base)
-    assert_bounded_seed_report(validate(s, rotation), IncidenceStructure(1, n, s.vertices))
+    s, representatives = _cyclic(n, base)
+    assert_bounded_seed_report(validate(s, representatives), IncidenceStructure(1, n, s.vertices))
 
 
 def test_orbit_shortcut_reads_one_row_per_cycle(monkeypatch):
-    s, rotation = _cyclic(7, [(0, 1, 3)])
+    """Of the Fano plane's seven rows, one per orbit of i -> i + 1, only
+    row 0 is read, over the three lines through curve 0."""
+    s, representatives = _cyclic(7, [(0, 1, 3)])
+    rows = []
+    meets_each_once = acckit.structure._meets_each_once
+
+    def counted(records, n):
+        rows.append(records)
+        return meets_each_once(records, n)
+
     monkeypatch.setattr("acckit.structure._full_report", None)
-    assert validate(s, rotation) == ValidationReport(valid=True, violations=())
+    monkeypatch.setattr("acckit.structure._meets_each_once", counted)
+    assert validate(s, representatives) == ValidationReport(valid=True, violations=())
+    assert rows == [[v for v in s.vertices if 0 in v]]
 
 
 def test_trusted_constructor_keeps_records():
@@ -628,7 +641,7 @@ def test_full_record_structures_match_seed_algorithm(s):
 
 
 def family_acc(j):
-    """Family j read back from its .acc text, so no automorphism comes with it."""
+    """Family j read back from its .acc text, so no representatives come with it."""
     return parse_structure(serialize_structure(expand(family_wedge(j)).structure))
 
 
@@ -644,7 +657,7 @@ def family_acc(j):
     ],
 )
 def test_valid_alpha_one_structures_skip_full_pass(monkeypatch, s):
-    """With no automorphism every row is checked, and a pencil is valid by
+    """With no representatives every row is checked, and a pencil is valid by
     the closed form."""
     monkeypatch.setattr("acckit.structure._full_report", None)
     assert validate(s) == ValidationReport(valid=True, violations=())

@@ -455,7 +455,8 @@ def test_family_expansion_matches_reference(j):
 
 
 def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch, tmp_path):
-    """The CLI reads only curve ids, so it must not build vertex labels."""
+    """The CLI reads only curve ids, so it must not build vertex or line
+    labels."""
     path = tmp_path / "j2.wedge"
     assert dispatch(["gen", "family", "--j", "2", "--out", str(path)]) == 0
     commands = (["audit", "pairs", str(path)], ["expand", str(path)])
@@ -465,15 +466,30 @@ def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch
         expected.append(capsys.readouterr())
 
     def refuse(*args):
-        raise AssertionError("vertex label built")
+        raise AssertionError("label built")
 
-    monkeypatch.setattr(acckit.wedge, "Bounce", refuse)
-    monkeypatch.setattr(acckit.wedge, "Crossing", refuse)
+    for name in ("Bounce", "Crossing", "Mirror", "BeamCopy", "LineAtInfinity"):
+        monkeypatch.setattr(acckit.wedge, name, refuse)
     for argv, before in zip(commands, expected):
         assert dispatch(argv) == 0
         assert capsys.readouterr().out == before.out
-    with pytest.raises(AssertionError, match="vertex label built"):
+    with pytest.raises(AssertionError, match="label built"):
         expand(family_wedge(2)).vertex_labels
+    with pytest.raises(AssertionError, match="label built"):
+        expand(family_wedge(2)).line_labels
+
+
+def reference_rotation(expansion):
+    """Curve ids under rotation by two wedge images, as the expansion once
+    built them: mirror i goes to mirror i + 2 mod m, each beam's copy
+    entering at wedge 2i to the one entering at 2i + 2, and the line at
+    infinity stays."""
+    m = expansion.m
+    image = [(i + 2) % m for i in range(m)] + [expansion.infinity_id] * (expansion.n - m)
+    for entered in expansion.entered:
+        for copy, rotated in zip(entered, entered[1:] + entered[:1]):
+            image[copy] = rotated
+    return image
 
 
 def is_automorphism(s, rotation):
@@ -485,16 +501,31 @@ def is_automorphism(s, rotation):
     return images == Counter(s.vertices)
 
 
+def cycles(permutation):
+    """The cycles of a permutation of 0..n-1, each as a set."""
+    found, seen = [], set()
+    for start in range(len(permutation)):
+        cycle = set()
+        cid = start
+        while cid not in seen:
+            seen.add(cid)
+            cycle.add(cid)
+            cid = permutation[cid]
+        if cycle:
+            found.append(cycle)
+    return found
+
+
 def _expand_recording(spec):
-    """Expand spec; return the outcome, every (structure, rotation, report)
-    that expansion passed to and got from validate, and how many full
-    validation passes ran."""
+    """Expand spec; return the outcome, every (structure, representatives,
+    report) that expansion passed to and got from validate, and how many
+    full validation passes ran."""
     calls, full = [], []
     real_validate, real_full_report = acckit.wedge.validate, acckit.structure._full_report
 
-    def recording(s, rotation=None):
-        report = real_validate(s, rotation)
-        calls.append((s, rotation, report))
+    def recording(s, representatives=None):
+        report = real_validate(s, representatives)
+        calls.append((s, representatives, report))
         return report
 
     def counting(s):
@@ -509,14 +540,17 @@ def _expand_recording(spec):
 
 
 def _check_orbit_validation(spec):
-    """The rotation expansion hands to validate is an automorphism, the
-    report equals the full pass on a fresh copy, and the full pass ran
-    during expansion exactly when the structure is invalid."""
+    """The reference rotation maps the records expansion hands to validate
+    onto themselves, and each of its cycles holds exactly one of the
+    representatives passed with them; the report equals the full pass on a
+    fresh copy, and the full pass ran during expansion exactly when the
+    structure is invalid."""
     outcome, calls, full_passes = _expand_recording(spec)
     assert len(calls) <= 1
-    for s, rotation, report in calls:
-        assert rotation is not None
+    for s, representatives, report in calls:
+        rotation = reference_rotation(acckit.wedge._Expansion(spec))
         assert is_automorphism(s, rotation)
+        assert [len(cycle.intersection(representatives)) for cycle in cycles(rotation)] == [1] * len(representatives)
         assert report == validate(IncidenceStructure(1, s.n, list(s.vertices)))
         assert (outcome is s) == report.valid
     assert full_passes == (len(calls) == 1 and not calls[0][2].valid)
@@ -525,6 +559,11 @@ def _check_orbit_validation(spec):
 
 @settings(derandomize=True, max_examples=400)
 @given(small_wedges(max_m=9, max_beams=3, max_bounces=9))
+# Even m with two crossing beams, one beam at odd m (an invalid expansion)
+# and no beam at odd m.
+@example(beams_wedge(10, "T3 B4 T5 B5 T6", "T1 B1 T2 B2 T3"))
+@example(beams_wedge(3, "T1 B1 T2"))
+@example(WedgeSpec(5))
 def test_orbit_validation_matches_full_validation(spec):
     _check_orbit_validation(spec)
 
@@ -533,6 +572,8 @@ def test_orbit_validation_matches_full_validation(spec):
 def test_family_orbit_validation_matches_full_validation(j):
     calls = _check_orbit_validation(family_wedge(j))
     assert len(calls) == 1 and calls[0][2].valid
+    # Mirrors 0 and 1, the first copy of each beam and the line at infinity.
+    assert calls[0][1] == [0, 1, 6 * j + 2, 12 * j + 4, 18 * j + 6]
 
 
 def test_valid_expansions_skip_the_full_pass():
