@@ -9,14 +9,16 @@ the underlying counting argument.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from .limits import check_size
 from .structure import IncidenceStructure, InvalidStructureError, Stats, validate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ def audit_tk_bounds(stats: Stats, alpha: int, n: int) -> TkBoundsReport:
     whenever any vacuous k does: the report's verdicts and least margins
     are those over every k in 2..n.
     """
+    from fractions import Fraction
+
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     pair_total = alpha * math.comb(n, 2)
@@ -130,15 +134,6 @@ class DiracAuditReport:
     binom_margin: int
 
 
-def _records_on_curves(s: IncidenceStructure) -> list[list[int]]:
-    """For each curve, the indices of the vertex records on it, rising."""
-    on: list[list[int]] = [[] for _ in range(s.n)]
-    for index, vertex in enumerate(s.vertices):
-        for cid in vertex:
-            on[cid].append(index)
-    return on
-
-
 def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     """Max curves adjacent to all vertices of an alpha-subset, with the
     lexicographically least witness subset (vertex indices).
@@ -148,18 +143,24 @@ def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     search starts.  The scan for alpha = 1 is not capped, but the variable
     is read for it too, so a malformed value is refused on every structure.
 
-    For alpha >= 2 the search grows a prefix of record indices in rising
-    order.  Each next record is one that still leaves enough records after
-    it to complete the subset, and its count of the curves that all records
-    of the prefix share comes at once for every such record: by counting the
-    records on each shared curve, or, when fewer records than shared curves
-    remain, by intersecting each of them.  Shared curves only shrink as the
-    prefix grows, so a record whose count is no more than the best found
-    cannot lead to a larger value and is skipped; best changes only on a
-    strictly larger value.  Prefixes are taken in lexicographic order, and no
-    subset before the least maximiser reaches the maximum, so none of its
-    prefixes is skipped and it is the witness.  When no subset shares a
-    curve, h is 0 with witness (0, ..., alpha-1), the first subset.
+    For alpha >= 2 each record becomes an int mask, bit c set for each curve
+    c on it.  The search grows a prefix of record indices in rising order;
+    the curves its records share are the AND of their masks, and each next
+    record, one that still leaves enough records after it to complete the
+    subset, is counted by the popcount of that AND with its own mask.
+    Shared curves only shrink as the prefix grows, so a record whose count
+    is no more than the best found cannot lead to a larger value and is
+    skipped; best changes only on a strictly larger value.  Prefixes are
+    taken in lexicographic order, and no subset before the least maximiser
+    reaches the maximum, so none of its prefixes is skipped and it is the
+    witness.  When no subset shares a curve, h is 0 with witness
+    (0, ..., alpha-1), the first subset.
+
+    The masks take vertices * n bits, the single-curve bits n * n / 2, and a
+    valid alpha >= 2 structure has n <= vertices: two curves on the same
+    records would put every curve on those alpha records, making them equal,
+    so the curves' record sets are distinct, meet pairwise in alpha records
+    and number at most the records (the non-uniform Fisher inequality).
     """
     vcount = len(s.vertices)
     if vcount < s.alpha:
@@ -168,35 +169,26 @@ def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     subsets = math.comb(vcount, s.alpha) if s.alpha > 1 else 0
     check_size("subset search", subsets, "evaluations", "ACCKIT_SUBSET_BUDGET")
     if s.alpha == 1:
-        best, witness = -1, (0,)
-        for index, vertex in enumerate(s.vertices):
-            if len(vertex) > best:
-                best, witness = len(vertex), (index,)
-        return best, witness
-    on = _records_on_curves(s)
-
-    def next_records(common, prefix: tuple[int, ...]) -> list[tuple[int, int]]:
-        """(record, curves of common on it) for the records that can follow
-        prefix in an alpha-subset, rising."""
-        low, high = prefix[-1] if prefix else -1, vcount - s.alpha + len(prefix)
-        if high - low <= len(common):
-            return [(index, len(common.intersection(s.vertices[index]))) for index in range(low + 1, high + 1)]
-        later = (on[cid][bisect_right(on[cid], low) : bisect_right(on[cid], high)] for cid in common)
-        return sorted(Counter(chain.from_iterable(later)).items())
-
+        sizes = list(map(len, s.vertices))
+        best = max(sizes)
+        return best, (sizes.index(best),)
+    # The ids of a record are distinct, so the sum of their bits is their OR.
+    bits = [1 << cid for cid in range(s.n)]
+    masks = [sum(map(bits.__getitem__, vertex)) for vertex in s.vertices]
     best, witness = 0, tuple(range(s.alpha))
-    everything = set(range(s.n))
-    stack = [((), everything, iter(next_records(everything, ())))]
+    stack = [((), (1 << s.n) - 1, iter(range(vcount - s.alpha + 1)))]
     while stack:
         prefix, common, candidates = stack[-1]
-        for index, shared in candidates:
+        for index in candidates:
+            narrower = common & masks[index]
+            shared = narrower.bit_count()
             if shared <= best:
                 continue
-            if len(prefix) + 1 == s.alpha:
-                best, witness = shared, prefix + (index,)
+            longer = prefix + (index,)
+            if len(longer) == s.alpha:
+                best, witness = shared, longer
             else:
-                longer, narrower = prefix + (index,), common.intersection(s.vertices[index])
-                stack.append((longer, narrower, iter(next_records(narrower, longer))))
+                stack.append((longer, narrower, iter(range(index + 1, vcount - s.alpha + len(longer) + 1))))
                 break
         else:
             stack.pop()
@@ -204,12 +196,15 @@ def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
 
 
 def audit_dirac(s: IncidenceStructure) -> DiracAuditReport:
+    """Audit the degree argument on a valid structure: g is the largest
+    curve degree and h the most curves that all records of some
+    alpha-subset share.  The hypothesis holds exactly when h < n; the proof
+    steps g >= h and C(g, alpha)*h >= n-1 each get a verdict and a margin."""
     report = validate(s)
     if not report.valid:
         raise InvalidStructureError(report)
 
-    incidences = Counter(chain.from_iterable(s.vertices))
-    g = max(incidences[cid] for cid in range(s.n))
+    g = max(Counter(chain.from_iterable(s.vertices)).values())
 
     h, witness = _best_subset_coverage(s)
     hypothesis_holds = h < s.n
@@ -256,6 +251,8 @@ class DyadicProfileParams:
     v: int
 
     def __post_init__(self):
+        from fractions import Fraction
+
         gamma = Fraction(self.gamma)
         object.__setattr__(self, "gamma", gamma)
         if not (0 <= gamma < 1):
@@ -365,6 +362,8 @@ class DichotomyReport:
 
 
 def dichotomy_report(s: IncidenceStructure, fraction) -> DichotomyReport:
+    from fractions import Fraction
+
     report = validate(s)
     if not report.valid:
         raise InvalidStructureError(report)

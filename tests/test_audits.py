@@ -4,12 +4,12 @@ dyadic windows, and the dichotomy report."""
 import math
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import acckit.audits
 from acckit import (
     DyadicProfileParams,
     IncidenceStructure,
@@ -500,6 +500,8 @@ def record_lists(draw):
 @example(IncidenceStructure(3, 6, [(0, 1), (2, 3), (4, 5), (0, 2, 4)]))  # disjoint triples
 @example(IncidenceStructure(2, 5, [(0, 1), (2, 3, 4), (0, 1, 4), (2, 3)]))  # ties of equal size
 @example(IncidenceStructure(4, 3, [(0, 1, 2)] * 5))  # every subset ties
+@example(IncidenceStructure(2, 130, [(0, 64, 129), (0, 64), (64, 129), (0, 129)]))  # masks of three words
+@example(IncidenceStructure(3, 200, [(63, 64, 127, 128, 199), (64, 128, 199), (63, 127, 199), (63, 64, 128, 199)]))  # alpha = 3 over four words
 def test_subset_search_matches_reference(s):
     assert _best_subset_coverage(s) == reference_subset_coverage(s)
 
@@ -509,6 +511,15 @@ def pencil_over_plane(p):
     n = p * p + p + 1
     plane = structure_from_lines(pg2(p), range(n))
     return IncidenceStructure(2, n, plane.vertices + gen_pencil(n).vertices)
+
+
+def plane_with_copy(p):
+    """PG(2, p) plus its points with curve c relabelled n - 1 - c: every pair
+    of lines meets twice.  At p = 3 no point of the copy is a point of the
+    plane, so the structure is valid, with alpha = 2 and no full record."""
+    n = p * p + p + 1
+    plane = structure_from_lines(pg2(p), range(n))
+    return IncidenceStructure(2, n, [*plane.vertices, *(sorted(n - 1 - c for c in v) for v in plane.vertices)])
 
 
 QUAD = IncidenceStructure(2, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -521,8 +532,8 @@ ALL_BUT_ONE = IncidenceStructure(28, 30, combinations(range(30), 29))
 
 @pytest.mark.parametrize(
     "s",
-    [QUAD, TRIPLES, ALL_BUT_ONE, pencil_over_plane(2), pencil_over_plane(3), pencil_over_plane(5)],
-    ids=["quad", "triples", "all-but-one", "pg2+pencil", "pg3+pencil", "pg5+pencil"],
+    [QUAD, TRIPLES, ALL_BUT_ONE, pencil_over_plane(2), pencil_over_plane(3), pencil_over_plane(5), plane_with_copy(3)],
+    ids=["quad", "triples", "all-but-one", "pg2+pencil", "pg3+pencil", "pg5+pencil", "pg3+copy"],
 )
 def test_subset_audits_match_reference_on_valid_structures(s):
     h, witness = reference_subset_coverage(s)
@@ -577,19 +588,28 @@ def test_full_record_stats_match_naive(s):
     assert stats.tk == dict(sorted(naive_tk(s).items()))
 
 
+class UnreadRecord(tuple):
+    """A record whose ids may be counted but not read."""
+
+    def __iter__(self):
+        raise AssertionError("record ids read")
+
+
 def test_refused_search_builds_no_index(monkeypatch):
-    """The C(vertices, alpha) budget check comes before the curve index, and
-    alpha = 1 scans its records without one."""
+    """The C(vertices, alpha) budget check comes before any per-record work,
+    and alpha = 1 counts its records' ids without building masks."""
 
-    def refuse(s):
-        raise AssertionError("index built")
+    def unread(s):
+        return SimpleNamespace(alpha=s.alpha, n=s.n, vertices=[UnreadRecord(v) for v in s.vertices])
 
-    monkeypatch.setattr(acckit.audits, "_records_on_curves", refuse)
     monkeypatch.setenv("ACCKIT_SUBSET_BUDGET", "5")
     with pytest.raises(SizeLimitExceeded):
         audit_dirac(QUAD)
     with pytest.raises(SizeLimitExceeded):
         dichotomy_report(QUAD, Fraction(1, 2))
+    with pytest.raises(SizeLimitExceeded):
+        _best_subset_coverage(unread(QUAD))
+    assert _best_subset_coverage(unread(gen_near_pencil(6))) == _best_subset_coverage(gen_near_pencil(6))
     assert audit_dirac(gen_near_pencil(6)).h == 5
 
 
