@@ -83,7 +83,12 @@ def _emit(out_path: str | None, text: str):
 def _fraction(value: str) -> Fraction:
     from fractions import Fraction
 
+    # Fraction forms 10**exponent, so an exponent is bounded as int() bounds digits.
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = value.lower().rpartition("e")
     try:
+        if limit and e and abs(int(exponent)) > limit:
+            raise argparse.ArgumentTypeError(f"the exponent of {value!r} is over {limit}")
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a rational like 1/2, got {value!r}")

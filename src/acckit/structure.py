@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import merge
 from itertools import chain, islice
-from operator import itemgetter, lt, mul
+from operator import itemgetter, lt
 from typing import Iterable, Union
 
 
@@ -189,34 +189,32 @@ def validate(s: IncidenceStructure, representatives: Iterable[int] | None = None
     multiplicities (by i, then j > i) and disconnection, in that order.
     Requires n >= 2 since pair multiplicity is meaningless below that.
 
-    The pair check is one pass per curve i: counting the ids of the vertices
-    on i gives, for every other curve j, how many vertices i and j share.
-    A row that is not all alpha fails n - 1 - i pairs with j > i, less the
-    j it counts alpha times; it is walked only while examples remain to
-    list.  For alpha = 1 the count is built only for rows that fail a
-    cheaper test: the vertices on i hold sum(|v| - 1) = n - 1 other ids and
-    all n ids between them, so each other curve meets i exactly once.  When
-    every pair shares alpha >= 1 vertices, any two curves meet, so the
-    membership graph is connected and the component count is skipped.
+    The check is one pass per curve i: counting the ids of the vertices on
+    i gives, for every other curve j, how many vertices i and j share.  A
+    row that is not all alpha fails n - 1 - i pairs with j > i, less the j
+    it counts alpha times; it is walked only while examples remain to list.
+    Let F be the number of full records (all n ids); they add F to every
+    pair, so when d = alpha - F is 0 or 1 the other records decide a row
+    without the count: for d = 0 it is right when no other record holds i,
+    and for d = 1 when the other records on i hold sum(|v| - 1) = n - 1
+    other ids and all n ids between them, so each other curve meets i
+    exactly once on them.  When no pair is wrong, any two curves meet, so
+    the membership graph is connected and the component count is skipped;
+    if also every record holds two or more ids, F <= 1 and d <= 1, the
+    structure is valid and the other checks are skipped too: no two records
+    are equal (they would share a pair twice) and every curve lies on a
+    record.  A lone full record at alpha = 1 (a pencil) is valid in closed
+    form, before any row.
 
-    One rule skips the full pass.  Let F be the number of full records (all
-    n ids); they add F to every pair.  When every record holds two or more
-    ids, F <= 1 and d = alpha - F is 0 or 1, the other records decide: for
-    d = 0 the structure is valid exactly when the full record is the only
-    one (a pencil), and for d = 1 when each checked curve meets every other
-    curve exactly once on the other records, by the cheap row test.  Every
-    pair then has multiplicity F + d = alpha, so no two records are equal
-    (they would share a pair twice), every curve lies on a record, and any
-    two curves meet, so the structure is connected.  representatives, when
-    given, are curve ids that the caller promises meet every orbit of some
-    permutation of the curve ids that maps the multiset of records onto
-    itself, such as one curve per rotation orbit of a wedge expansion; pair
-    multiplicity is then constant along those orbits, so only their rows,
-    over the records that hold one of them, are checked.  Without them every
-    curve is checked, once the pairs of the other records, sum C(|v|, 2),
-    are found to number C(n, 2) by one pass over the record sizes.  Anything
-    else runs the full pass, so every report of an invalid structure is the
-    same with or without the rule or the representatives.
+    representatives, for alpha = 1, are curve ids that the caller promises
+    meet every orbit of some permutation of the curve ids that maps the
+    multiset of records onto itself, such as one curve per rotation orbit
+    of a wedge expansion; pair multiplicity is then constant along those
+    orbits, so when every record holds two or more ids and each of their
+    rows, over the records that hold one of them, meets every other curve
+    exactly once, the structure is valid without the pass.  Anything else,
+    and any other alpha, runs the pass, so every report is the same with or
+    without them.
 
     The structure is immutable, so its report is computed once and kept on
     it; later calls return the same report.
@@ -225,7 +223,7 @@ def validate(s: IncidenceStructure, representatives: Iterable[int] | None = None
         return s._report
     if s.n < 2:
         raise ValueError(f"validation requires at least 2 curves, got {s.n}")
-    if _rows_meet_once(s, representatives):
+    if s.alpha == 1 and representatives is not None and _orbit_rows_meet_once(s, representatives):
         report = ValidationReport(valid=True, violations=())
     else:
         report = _full_report(s)
@@ -234,34 +232,20 @@ def validate(s: IncidenceStructure, representatives: Iterable[int] | None = None
 
 
 def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
-    """For alpha = 1: the records on a curve hold sum(|v| - 1) = n - 1 other
-    ids and all n ids between them, so the curve meets every other curve
-    exactly once."""
+    """The records on a curve hold sum(|v| - 1) = n - 1 other ids and all n
+    ids between them, so the curve meets every other curve exactly once on
+    them."""
     return sum(map(len, records)) - len(records) == n - 1 and len(set(chain.from_iterable(records))) == n
 
 
-def _rows_meet_once(s: IncidenceStructure, representatives: Iterable[int] | None) -> bool:
-    """The shortcut past the full pass (see validate): every record holds
-    two or more ids, at most one holds all n, and with F full records the
-    others meet every pair d = alpha - F times, for d = 0 or 1.  The
-    representatives are checked, or, without them, every curve once the
-    pair count holds.  Anything else takes the full pass."""
-    n, vertices = s.n, s.vertices
-    sizes = list(map(len, vertices))
-    full = sizes.count(n)
-    if min(sizes, default=0) < 2 or full > 1 or s.alpha - full not in (0, 1):
+def _orbit_rows_meet_once(s: IncidenceStructure, representatives: Iterable[int]) -> bool:
+    """For alpha = 1 (see validate): every record holds two or more ids and
+    each representative's row meets every other curve exactly once."""
+    if min(map(len, s.vertices), default=0) < 2:
         return False
-    if s.alpha == full:
-        return len(vertices) == 1
-    if representatives is None:
-        if (sum(map(mul, sizes, sizes)) - sum(sizes)) // 2 - full * math.comb(n, 2) != math.comb(n, 2):
-            return False
-        rows = range(n)
-    else:
-        rows = set(representatives)
-        vertices = [vertex for vertex in vertices if not rows.isdisjoint(vertex)]
-    on = _records_by_curve(vertex for vertex in vertices if len(vertex) < n)
-    return all(_meets_each_once(on.get(i, []), n) for i in rows)
+    rows = set(representatives)
+    on = _records_by_curve(vertex for vertex in s.vertices if not rows.isdisjoint(vertex))
+    return all(_meets_each_once(on.get(i, []), s.n) for i in rows)
 
 
 def _records_by_curve(vertices: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
@@ -276,7 +260,8 @@ def _records_by_curve(vertices: Iterable[tuple[int, ...]]) -> dict[int, list[tup
 
 def _full_report(s: IncidenceStructure) -> ValidationReport:
     """Every violation counted, and the first _EXAMPLES of each kind listed,
-    by one pass over the rows of the curves on some record (see validate).
+    by one pass over the rows of the curves on some record (see validate),
+    made before the small, duplicate and unused tallies.
 
     A curve on no record fails all its n - 1 - i pairs with j > i and is a
     component of its own, so those curves are counted in closed form and
@@ -284,30 +269,40 @@ def _full_report(s: IncidenceStructure) -> ValidationReport:
     follows the records, not the declared n.
     """
     n, alpha, vertices = s.n, s.alpha, s.vertices
-    counts: dict[str, int] = {}
-    violations: list[Violation] = []
-    small = [i for i, v in enumerate(vertices) if len(v) < 2]
-    _tally(counts, violations, SmallVertex, len(small), small)
-
-    seen: dict[tuple[int, ...], int] = {}
-    repeats = ((seen[vertex], i) for i, vertex in enumerate(vertices) if seen.setdefault(vertex, i) != i)
-    _tally(counts, violations, DuplicateVertex, len(vertices) - len(set(vertices)), repeats)
-
+    sizes = list(map(len, vertices))
+    full = sizes.count(n)
+    d = alpha - full
+    if len(vertices) == full == alpha == 1:
+        return ValidationReport(valid=True, violations=())
     on = _records_by_curve(vertices)
-    _tally(counts, violations, UnusedCurve, n - len(on), (i for i in range(n) if i not in on))
 
     # The pairs of the unused rows, then those of every used row that fails.
     wrong = math.comb(n, 2) - sum(n - 1 - i for i in on)
     failing = []
     for i in sorted(on):
         records = on[i]
-        if alpha == 1 and _meets_each_once(records, n):
+        other = [vertex for vertex in records if len(vertex) < n] if full else records
+        if d == 0 and not other or d == 1 and _meets_each_once(other, n):
             continue
         row = Counter(chain.from_iterable(records))
         if list(row.values()).count(alpha) - (row[i] == alpha) == n - 1:
             continue
         failing.append(i)
         wrong += n - 1 - i - sum(1 for j, observed in row.items() if observed == alpha and j > i)
+
+    if not wrong and min(sizes) >= 2 and full <= 1 and d <= 1:
+        return ValidationReport(valid=True, violations=())
+
+    counts: dict[str, int] = {}
+    violations: list[Violation] = []
+    small = [i for i, size in enumerate(sizes) if size < 2]
+    _tally(counts, violations, SmallVertex, len(small), small)
+
+    seen: dict[tuple[int, ...], int] = {}
+    repeats = ((seen[vertex], i) for i, vertex in enumerate(vertices) if seen.setdefault(vertex, i) != i)
+    _tally(counts, violations, DuplicateVertex, len(vertices) - len(set(vertices)), repeats)
+
+    _tally(counts, violations, UnusedCurve, n - len(on), (i for i in range(n) if i not in on))
 
     if wrong:
         counts[PairMultiplicity.__name__] = wrong

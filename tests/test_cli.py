@@ -761,6 +761,49 @@ def test_dyadic_root_of_huge_gamma_terms_is_bounded(tmp_path, gamma, code, out, 
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("flag, audit", [("--gamma", ["dyadic", "--v", "0"]), ("--fraction", ["dichotomy"])])
+@pytest.mark.parametrize("value", ["1e-10000000", "1e-100000000", "1E+4301", "1e4_301"])
+def test_huge_rational_exponent_is_refused(tmp_path, flag, audit, value):
+    """An exponent over the int-to-text digit limit is refused before
+    Fraction forms 10 to its power: --gamma 1e-10000000 took 9.2 s, and
+    1e-100000000 ran past a 60 s timeout.  Never run these inputs without
+    the cap."""
+    path = tmp_path / "j1.wedge"
+    path.write_text(serialize_wedge(family_wedge(1)))
+    start = time.perf_counter()
+    result = run_capped(["audit", audit[0], str(path), flag, value, *audit[1:]])
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.endswith(f"error: argument {flag}: the exponent of {value!r} is over 4300\n")
+    assert "Traceback" not in result.stderr
+    assert elapsed < 1.0
+
+
+def test_small_rational_exponent_is_read(capsys, monkeypatch):
+    code, out = run_pipeline(
+        [["gen", "family", "--j", "1"], ["audit", "dyadic", "-", "--gamma", "1e-3", "--v", "0"]], capsys, monkeypatch
+    )
+    assert code == 0
+    assert out == (
+        "NOTE dyadic window 1 25\nNOTE dyadic empty false\nNOTE dyadic below 0\n"
+        "NOTE dyadic inside 300\nNOTE dyadic above 0\nCHECK dyadic.total holds 300/300\n"
+    )
+
+
+def test_pencil_plus_a_pair_is_reported_without_counting_every_row():
+    """A pencil of 20,000 curves plus the record 0 1 (F = 1, d = 0): only
+    rows 0 and 1 hold a record besides the pencil, so only they are
+    counted; counting all 20,000 rows of 20,000 ids took 10 s.  Never run
+    this input without the cap."""
+    text = serialize_structure(gen_pencil(20000)) + "v 0 1\n"
+    start = time.perf_counter()
+    result = run_capped(["validate", "-"], text)
+    elapsed = time.perf_counter() - start
+    out = "invalid alpha=1 n=20000 violations=1\n  PairMultiplicity(pair=(0, 1), observed=2)\n"
+    assert (result.returncode, result.stdout, result.stderr) == (1, out, "")
+    assert elapsed < 5.0
+
+
 @pytest.mark.parametrize(
     "argv, out",
     [

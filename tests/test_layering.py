@@ -1,8 +1,8 @@
 """Layering lint: no module of the package imports or reads another
-module's underscore name, and none holds an assert statement; the package
-exports exactly its allowlist, and only expansion and parsing build
-structures without the constructor's checks, and only limits.py reads
-the environment."""
+module's underscore name, imports a name it never reads, or holds an
+assert statement; the package exports exactly its allowlist, and only
+expansion and parsing build structures without the constructor's checks,
+and only limits.py reads the environment."""
 
 import ast
 import importlib
@@ -69,6 +69,61 @@ def test_no_module_uses_another_modules_private_names():
         uses = private_uses(path.read_text(encoding="utf-8"))
         if uses:
             offenders[path.name] = uses
+    assert offenders == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module binds by an import but never reads, in source order.
+    A name read only in an annotation is read, also inside a string
+    annotation; a __future__ import binds nothing."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    annotations = [
+        annotation
+        for node in ast.walk(tree)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if annotation is not None
+    ]
+    quoted = [
+        ast.parse(node.value, mode="eval")
+        for annotation in annotations
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    read = {
+        node.id
+        for root in [tree, *quoted]
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for _, name in sorted(bound) if name not in read]
+
+
+def test_lint_catches_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import xml.etree as tree\n"
+        "from typing import Dict, List\n"
+        "from .wedge import WedgeSpec as Spec, expand\n"
+        "def f(spec: 'Spec', v: List[int]) -> Dict:\n"
+        "    return expand(spec)\n"
+    )
+    assert unused_imports(source) == ["os", "tree"]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        unused = unused_imports(path.read_text(encoding="utf-8"))
+        if unused:
+            offenders[path.name] = unused
     assert offenders == {}
 
 

@@ -464,6 +464,8 @@ def test_long_report_counts_exactly():
         structure_from_lines(pg2(3), range(13)),
         # Row 0 holds n - 1 other ids but misses curve 3.
         IncidenceStructure(1, 4, [(0, 1, 2), (0, 1), (1, 3), (2, 3)]),
+        # Every pair is right, but curve 3 also lies on a record of its own.
+        IncidenceStructure(1, 7, structure_from_lines(pg2(2), range(7)).vertices + ((3,),)),
     ],
 )
 def test_validate_matches_seed_algorithm_on_fixtures(s):
@@ -562,7 +564,7 @@ def _pencil_missing(s, cid):
     "s",
     [
         *(with_pencil(plane(p)) for p in (2, 3, 5, 7)),
-        # alpha = 3 with a full record takes the full pass.
+        # alpha = 3 with a full record: d = 2, so every row is counted.
         with_pencil(BIPLANE),
         with_pencil(IncidenceStructure(2, 4, combinations(range(4), 3))),
         # alpha = 3 over records of degrees 2, 3 and 6.
@@ -582,16 +584,49 @@ def _pencil_missing(s, cid):
         IncidenceStructure(3, 13, with_pencil(plane(3)).vertices),
         # alpha = 2: a pencil over a rest that repeats a line.
         IncidenceStructure(2, 7, with_pencil(plane(2)).vertices + plane(2).vertices[:1]),
+        # Two pencils: every pair is right at alpha = 2, but the records repeat.
+        IncidenceStructure(2, 5, [range(5)] * 2),
     ],
 )
 def test_full_record_shortcut_matches_seed_algorithm(s):
     assert_bounded_seed_report(validate(s), s)
 
 
+def refuse_counted_rows(monkeypatch):
+    """Make validate fail if it counts any row's pairs with a Counter."""
+
+    def refuse(*args):
+        raise AssertionError("a row was counted")
+
+    monkeypatch.setattr("acckit.structure.Counter", refuse)
+
+
 @pytest.mark.parametrize("s", [with_pencil(plane(p)) for p in (2, 3, 5, 7)])
 def test_full_record_shortcut_skips_full_pass(monkeypatch, s):
-    monkeypatch.setattr("acckit.structure._full_report", None)
+    """Each row is decided by the records other than the pencil, so no
+    row's pairs are counted."""
+    refuse_counted_rows(monkeypatch)
     assert validate(s) == ValidationReport(valid=True, violations=())
+
+
+@pytest.mark.parametrize("n", [5, 200])
+def test_pencil_rows_without_other_records_are_not_counted(monkeypatch, n):
+    """A pencil plus the record 0 1 at alpha = 1: F = 1 and d = 0, so only
+    rows 0 and 1 hold another record; each is counted once to find its
+    wrong pairs and once to list them."""
+    s = IncidenceStructure(1, n, [range(n), (0, 1)])
+    rows = []
+    real_counter = acckit.structure.Counter
+
+    def counted(ids):
+        row = real_counter(ids)
+        rows.append(row)
+        return row
+
+    monkeypatch.setattr("acckit.structure.Counter", counted)
+    report = validate(s)
+    assert len(rows) == 4
+    assert_bounded_seed_report(report, s)
 
 
 REMAINDERS = (
@@ -657,9 +692,9 @@ def family_acc(j):
     ],
 )
 def test_valid_alpha_one_structures_skip_full_pass(monkeypatch, s):
-    """With no representatives every row is checked, and a pencil is valid by
-    the closed form."""
-    monkeypatch.setattr("acckit.structure._full_report", None)
+    """With no representatives every row is checked by the row test, and a
+    pencil is valid by the closed form, so no row's pairs are counted."""
+    refuse_counted_rows(monkeypatch)
     assert validate(s) == ValidationReport(valid=True, violations=())
 
 
@@ -668,17 +703,35 @@ def _merged(records):
     return [tuple(sorted(set(records[0]) | set(records[1])))] + records[2:]
 
 
-@pytest.mark.parametrize("j", [1, 2])
+def _changed_family(j, change):
+    s = family_acc(j)
+    return IncidenceStructure(1, s.n, change(list(s.vertices)))
+
+
 @pytest.mark.parametrize(
-    "change",
-    [lambda records: records[1:], lambda records: records + records[:1], _merged],
-    ids=["dropped", "duplicated", "merged"],
+    "s",
+    [
+        *(_changed_family(j, change) for j in (1, 2) for change in (list, lambda r: r[1:], lambda r: r + r[:1], _merged)),
+        with_pencil(plane(3)),
+        _broken_line(with_pencil(plane(3))),
+        with_pencil(DOUBLED),
+        IncidenceStructure(1, 9, [range(9), (0, 1)]),
+    ],
+    ids=[
+        *(f"{change}-{j}" for j in (1, 2) for change in ("kept", "dropped", "duplicated", "merged")),
+        "pencil+plane",
+        "pencil+broken-plane",
+        "pencil+doubled",
+        "pencil+pair",
+    ],
 )
-def test_broken_family_records_fail_the_pair_count(monkeypatch, j, change):
-    """A dropped, repeated or merged record changes the pairs the records
-    hold, so the full pass runs without a row check before it: the only
-    curve -> records index built is the full pass's own."""
-    s = IncidenceStructure(1, family_acc(j).n, change(list(family_acc(j).vertices)))
+def test_validate_indexes_the_records_once(monkeypatch, s):
+    """Without representatives, validate builds one curve -> records index,
+    whether the structure is valid or not: a dropped, repeated or merged
+    record, a broken line or a repeated record beside a pencil is reported
+    from the same pass that decides the valid rows."""
+    # A fresh copy, since a shared parameter may keep another test's report.
+    s = IncidenceStructure(s.alpha, s.n, s.vertices)
     calls = []
     index = acckit.structure._records_by_curve
 
@@ -689,8 +742,32 @@ def test_broken_family_records_fail_the_pair_count(monkeypatch, j, change):
     monkeypatch.setattr("acckit.structure._records_by_curve", counted)
     report = validate(s)
     assert len(calls) == 1
-    assert not report.valid
     assert_bounded_seed_report(report, s)
+
+
+def _off_broken_line(s):
+    """_broken_line(s) with a curve that is on neither the broken record nor
+    the record it came from, whose row alone passes the row test."""
+    broken = _broken_line(s)
+    changed = set(chain.from_iterable(set(s.vertices) ^ set(broken.vertices)))
+    return broken, [min(set(range(s.n)) - changed)]
+
+
+@pytest.mark.parametrize(
+    "s, representatives",
+    [
+        (with_pencil(plane(3)), [0]),
+        _off_broken_line(with_pencil(plane(3))),
+        _off_broken_line(with_pencil(BIPLANE)),
+        (BIPLANE, range(7)),
+        (with_pencil(DOUBLED), [0]),
+        (IncidenceStructure(2, 5, [range(5)] * 2), range(5)),
+    ],
+)
+def test_representatives_are_ignored_above_alpha_one(s, representatives):
+    """Representatives narrow the rows only for alpha = 1; any other alpha
+    gets the report it gets without them."""
+    assert validate(s, representatives) == validate(IncidenceStructure(s.alpha, s.n, s.vertices))
 
 
 @st.composite
