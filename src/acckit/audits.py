@@ -9,13 +9,11 @@ the underlying counting argument.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .limits import check_size
-from .structure import IncidenceStructure, InvalidStructureError, Stats, validate
+from .structure import IncidenceStructure, InvalidStructureError, Stats, compute_stats, validate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -200,12 +198,7 @@ def audit_dirac(s: IncidenceStructure) -> DiracAuditReport:
     curve degree and h the most curves that all records of some
     alpha-subset share.  The hypothesis holds exactly when h < n; the proof
     steps g >= h and C(g, alpha)*h >= n-1 each get a verdict and a margin."""
-    report = validate(s)
-    if not report.valid:
-        raise InvalidStructureError(report)
-
-    g = max(Counter(chain.from_iterable(s.vertices)).values())
-
+    g = compute_stats(s).r
     h, witness = _best_subset_coverage(s)
     hypothesis_holds = h < s.n
     binom = math.comb(g, s.alpha) * h
@@ -238,6 +231,14 @@ def audit_pair_identity(stats: Stats, n: int) -> PairIdentityReport:
     return PairIdentityReport(holds=observed == expected, observed=observed, expected=expected)
 
 
+def _range_error(name: str, interval: str, value: Fraction) -> ValueError:
+    """name's range error, naming value unless it has more digits than str() converts."""
+    try:
+        return ValueError(f"{name} must lie in {interval}, got {value}")
+    except ValueError:
+        return ValueError(f"{name} must lie in {interval}")
+
+
 @dataclass(frozen=True)
 class DyadicProfileParams:
     """Window parameters for the dyadic profile of the l_d sums.
@@ -256,7 +257,7 @@ class DyadicProfileParams:
         gamma = Fraction(self.gamma)
         object.__setattr__(self, "gamma", gamma)
         if not (0 <= gamma < 1):
-            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+            raise _range_error("gamma", "[0, 1)", gamma)
         if self.v < 0:
             raise ValueError(f"v must be >= 0, got {self.v}")
 
@@ -369,7 +370,7 @@ def dichotomy_report(s: IncidenceStructure, fraction) -> DichotomyReport:
         raise InvalidStructureError(report)
     fraction = Fraction(fraction)
     if not (0 < fraction <= 1):
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+        raise _range_error("fraction", "(0, 1]", fraction)
 
     coverage, witness = _best_subset_coverage(s)
     vertex_count = len(s.vertices)

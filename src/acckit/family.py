@@ -19,6 +19,21 @@ curves with maximum curve degree 10; for j = 2 the two new blue points
 (5 and 7) have a unique placement that survives expansion.  The tests
 re-derive both by exhaustive search.
 
+The expansion's whole degree census follows, with m = 6j+2.  The wedge
+has 5j+2 bounce points: j shared by both beams (5 ids per record), 4j
+where one beam bounces and two of its copies meet (3 ids), and the 2
+terminal points, one per beam, where a copy meets itself (2 ids); each
+gives m records.  Its j crossing chord pairs give 2m records of 2 ids
+each, and of the m ideal points m/2 have degree 6 and m/2 degree 2.  With
+the apex (m ids), for every j >= 1:
+
+- t_2 = 2m(j+1) + m/2 = 12j^2 + 19j + 5, t_3 = 4jm = 24j^2 + 8j,
+  t_5 = jm = 6j^2 + 2j, t_6 = m/2 = 3j + 1 and t_m = 1;
+- vertices = 42j^2 + 32j + 7;
+- l_d = t_d C(d, 2), and sum_d l_d = 162j^2 + 117j + 21 = C(18j+7, 2).
+
+So Sigma l_d = C(n, 2) and 9r = 4n - 10 (r = 8j+2) are identities in j.
+
 The fixture generators size their output by closed form first (n curves
 for the pencils, C(n, 2) vertices for the simple arrangement) and refuse a
 size over the budget with SizeLimitExceeded (see limits.check_size).

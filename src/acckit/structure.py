@@ -66,7 +66,7 @@ class IncidenceStructure:
         object.__setattr__(self, "vertices", tuple(normalized))
 
     @classmethod
-    def trusted(cls, alpha: int, n: int, vertices: Iterable[tuple[int, ...]]) -> "IncidenceStructure":
+    def trusted(cls, alpha: int, n: int, vertices: Iterable[tuple[int, ...]], representatives=()) -> "IncidenceStructure":
         """A structure over records built as rising tuples of int ids within
         0..n-1, with alpha >= 1 and n >= 0, kept without any check.
 
@@ -74,11 +74,23 @@ class IncidenceStructure:
         a wedge expansion, or by the checks made while reading them, as in
         parse_structure.  The result equals what the constructor gives for
         the same records; anything else goes through the constructor.
+
+        representatives, for alpha = 1, are curve ids that the caller
+        promises meet every orbit of some permutation of the curve ids that
+        maps the multiset of records onto itself, such as one curve per
+        rotation orbit of a wedge expansion; pair multiplicity is then
+        constant along those orbits, so when every record holds two or more
+        ids and each of their rows meets every other curve exactly once,
+        the structure is valid and keeps that report for validate.
+        Otherwise, and at any other alpha, validate runs its full pass.
         """
         s = object.__new__(cls)
         object.__setattr__(s, "alpha", alpha)
         object.__setattr__(s, "n", n)
         object.__setattr__(s, "vertices", tuple(vertices))
+        rows = set(representatives)
+        if alpha == 1 and rows and _orbit_rows_meet_once(s, rows):
+            object.__setattr__(s, "_report", ValidationReport(valid=True, violations=()))
         return s
 
 
@@ -180,7 +192,7 @@ class ExpansionError(Exception):
     without loading the expansion."""
 
 
-def validate(s: IncidenceStructure, representatives: Iterable[int] | None = None) -> ValidationReport:
+def validate(s: IncidenceStructure) -> ValidationReport:
     """Check every structure axiom; count every violation exactly and list
     the first 20 of each kind.
 
@@ -206,27 +218,14 @@ def validate(s: IncidenceStructure, representatives: Iterable[int] | None = None
     record.  A lone full record at alpha = 1 (a pencil) is valid in closed
     form, before any row.
 
-    representatives, for alpha = 1, are curve ids that the caller promises
-    meet every orbit of some permutation of the curve ids that maps the
-    multiset of records onto itself, such as one curve per rotation orbit
-    of a wedge expansion; pair multiplicity is then constant along those
-    orbits, so when every record holds two or more ids and each of their
-    rows, over the records that hold one of them, meets every other curve
-    exactly once, the structure is valid without the pass.  Anything else,
-    and any other alpha, runs the pass, so every report is the same with or
-    without them.
-
     The structure is immutable, so its report is computed once and kept on
-    it; later calls return the same report.
+    it (or kept by IncidenceStructure.trusted); later calls return it.
     """
     if s._report is not None:
         return s._report
     if s.n < 2:
         raise ValueError(f"validation requires at least 2 curves, got {s.n}")
-    if s.alpha == 1 and representatives is not None and _orbit_rows_meet_once(s, representatives):
-        report = ValidationReport(valid=True, violations=())
-    else:
-        report = _full_report(s)
+    report = _full_report(s)
     object.__setattr__(s, "_report", report)
     return report
 
@@ -238,12 +237,11 @@ def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
     return sum(map(len, records)) - len(records) == n - 1 and len(set(chain.from_iterable(records))) == n
 
 
-def _orbit_rows_meet_once(s: IncidenceStructure, representatives: Iterable[int]) -> bool:
-    """For alpha = 1 (see validate): every record holds two or more ids and
-    each representative's row meets every other curve exactly once."""
+def _orbit_rows_meet_once(s: IncidenceStructure, rows: set[int]) -> bool:
+    """For alpha = 1 (see IncidenceStructure.trusted): every record holds
+    two or more ids and the row of each curve in rows meets every other once."""
     if min(map(len, s.vertices), default=0) < 2:
         return False
-    rows = set(representatives)
     on = _records_by_curve(vertex for vertex in s.vertices if not rows.isdisjoint(vertex))
     return all(_meets_each_once(on.get(i, []), s.n) for i in rows)
 

@@ -396,10 +396,11 @@ class _Expansion:
 
     def arrangement(self) -> ExpandedArrangement:
         ids = self.vertex_ids()
-        # Every record is a rising tuple of ids within 0..n-1 by
-        # construction (see vertex_ids).
-        structure = IncidenceStructure.trusted(1, self.n, sorted(ids))
-        report = validate(structure, self.orbit_starts())
+        # Every record is a rising tuple of ids within 0..n-1 by construction
+        # (see vertex_ids), and orbit_starts() meets every orbit of a rotation
+        # that carries the records onto themselves.
+        structure = IncidenceStructure.trusted(1, self.n, sorted(ids), self.orbit_starts())
+        report = validate(structure)
         if not report.valid:
             raise ValidationFailed(report)
         return ExpandedArrangement(structure, self, ids)
@@ -416,10 +417,10 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     budget (see check_expansion_size), and ValidationFailed when the
     assembled structure is not a genuine alpha = 1 incidence structure.
 
-    The expansion is symmetric under rotation by two wedge images, so it is
-    validated by rotation orbits (validate given one curve per orbit): those
-    curves are checked instead of all n.  A failure runs the full check,
-    so ValidationFailed carries the same report either way.
+    The expansion is symmetric under rotation by two wedge images, so
+    IncidenceStructure.trusted is given one curve per rotation orbit and
+    checks those rows instead of all n.  A failure runs validate's full
+    pass, so ValidationFailed carries the same report either way.
     """
     return _Expansion(spec).arrangement()
 

@@ -779,6 +779,33 @@ def test_huge_rational_exponent_is_refused(tmp_path, flag, audit, value):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "flag, audit, value, err",
+    [
+        ("--gamma", ["dyadic", "--v", "0"], "1e4300", "error: gamma must lie in [0, 1)\n"),
+        ("--gamma", ["dyadic", "--v", "0"], "-1e-4300", "error: gamma must lie in [0, 1)\n"),
+        ("--gamma", ["dyadic", "--v", "0"], "3/2", "error: gamma must lie in [0, 1), got 3/2\n"),
+        ("--fraction", ["dichotomy"], "1e4300", "error: fraction must lie in (0, 1]\n"),
+        ("--fraction", ["dichotomy"], "-1e-4300", "error: fraction must lie in (0, 1]\n"),
+        ("--fraction", ["dichotomy"], "3/2", "error: fraction must lie in (0, 1], got 3/2\n"),
+    ],
+    ids=[f"{flag}={value}" for flag in ("gamma", "fraction") for value in ("1e4300", "-1e-4300", "3/2")],
+)
+def test_out_of_range_rational_is_refused_by_its_range(tmp_path, flag, audit, value, err):
+    """A value out of range at the exponent limit has more digits than
+    str() converts, so the refusal names the range without the value: it
+    printed Python's own int-to-str message before.  Never run these inputs
+    without the cap."""
+    path = tmp_path / "j1.wedge"
+    path.write_text(serialize_wedge(family_wedge(1)))
+    start = time.perf_counter()
+    result = run_capped(["audit", audit[0], str(path), f"{flag}={value}", *audit[1:]])
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+    assert "Traceback" not in result.stderr
+    assert elapsed < 1.0
+
+
 def test_small_rational_exponent_is_read(capsys, monkeypatch):
     code, out = run_pipeline(
         [["gen", "family", "--j", "1"], ["audit", "dyadic", "-", "--gamma", "1e-3", "--v", "0"]], capsys, monkeypatch

@@ -3,6 +3,7 @@ insertion-based construction and the searches that derive it, the
 induction, and the fixture generators."""
 
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -223,7 +224,46 @@ def test_blue_extension_slot_is_unique_at_j2():
     assert winners == [tuple(family_point_order(2)[0])]
 
 
-@pytest.mark.parametrize("j", range(1, 13))
+def family_census(j):
+    """Family j's records counted by label kind and degree, from the point
+    counts in family.py's docstring, with m = 6j + 2: j shared bounces
+    (5 ids), 4j single-beam bounces (3 ids) and 2 terminal bounces (2 ids),
+    m records each; j crossing pairs, 2m records each; m/2 ideal points of
+    degree 6 and m/2 of degree 2; and the apex."""
+    m = 6 * j + 2
+    shared, single, terminal, crossing_pairs = j, 4 * j, 2, j
+    return {
+        ("Apex", m): 1,
+        ("Bounce", 5): shared * m,
+        ("Bounce", 3): single * m,
+        ("Bounce", 2): terminal * m,
+        ("Crossing", 2): crossing_pairs * 2 * m,
+        ("Ideal", 6): m // 2,
+        ("Ideal", 2): m // 2,
+    }
+
+
+def census_tk(j):
+    tk = Counter()
+    for (_, degree), count in family_census(j).items():
+        tk[degree] += count
+    return dict(sorted(tk.items()))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_family_census_closed_forms(j):
+    """Each census count is a polynomial of degree <= 2 in j, and so are the
+    closed forms, the vertex count and sum_d t_d C(d, 2); two such
+    polynomials that agree at three values of j are equal, so these checks
+    prove the identities for every j."""
+    m = 6 * j + 2
+    tk = census_tk(j)
+    assert tk == {2: 12 * j**2 + 19 * j + 5, 3: 24 * j**2 + 8 * j, 5: 6 * j**2 + 2 * j, 6: 3 * j + 1, m: 1}
+    assert sum(tk.values()) == 42 * j**2 + 32 * j + 7
+    assert sum(count * math.comb(d, 2) for d, count in tk.items()) == math.comb(18 * j + 7, 2)
+
+
+@pytest.mark.parametrize("j", [*range(1, 17), 32, 64])
 def test_family_sweep_exact_counts(j):
     arr = expand(family_wedge(j))
     s = arr.structure
@@ -234,8 +274,12 @@ def test_family_sweep_exact_counts(j):
     assert 9 * stats.r == 4 * n - 10
     assert arr.apex_degree() == 6 * j + 2
     assert 3 * arr.apex_degree() == n - 1
-    assert len(s.vertices) == 1 + (6 * j + 2) * (7 * j + 3)
+    assert len(s.vertices) == 42 * j**2 + 32 * j + 7
     assert stats.r in curve_degrees(s)  # attained, not just bounded
+    kinds = Counter((type(label).__name__, len(v)) for label, v in zip(arr.vertex_labels, s.vertices))
+    assert kinds == family_census(j)
+    assert stats.tk == census_tk(j)
+    assert stats.ld == {d: count * math.comb(d, 2) for d, count in census_tk(j).items()}
 
 
 @pytest.mark.parametrize("j", range(1, 9))

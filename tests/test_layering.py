@@ -1,11 +1,13 @@
 """Layering lint: no module of the package imports or reads another
 module's underscore name, imports a name it never reads, or holds an
-assert statement; the package exports exactly its allowlist, and only
+assert statement; the package exports exactly its allowlist, only
 expansion and parsing build structures without the constructor's checks,
-and only limits.py reads the environment."""
+only the expansion hands those a promise of orbit representatives, and
+only limits.py reads the environment."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -204,16 +206,34 @@ def test_bare_import_resolves_submodules_and_names():
     )
 
 
-def test_only_expansion_and_parsing_build_trusted_structures():
-    """IncidenceStructure.trusted skips every record check, so only code
-    whose records are checked or rising by construction may call it."""
-    callers = [
-        path.name
+def trusted_calls() -> list[tuple[str, ast.Call]]:
+    """(module file name, call) for every call of an attribute named
+    trusted in the package, in file order."""
+    return [
+        (path.name, node)
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "trusted"
     ]
-    assert callers == ["formats.py", "wedge.py"]
+
+
+def test_only_expansion_and_parsing_build_trusted_structures():
+    """IncidenceStructure.trusted skips every record check, so only code
+    whose records are checked or rising by construction may call it."""
+    assert [name for name, _ in trusted_calls()] == ["formats.py", "wedge.py"]
+
+
+def test_only_expansion_promises_orbit_representatives():
+    """A structure gets a report without validate's full pass in one place
+    only: trusted given the representatives of the expansion's rotation
+    orbits.  validate itself takes nothing but the structure."""
+    promising = [
+        name
+        for name, call in trusted_calls()
+        if len(call.args) > 3 or any(keyword.arg in (None, "representatives") for keyword in call.keywords)
+    ]
+    assert promising == ["wedge.py"]
+    assert list(inspect.signature(acckit.validate).parameters) == ["s"]
 
 
 def environment_reads(source: str) -> list[int]:

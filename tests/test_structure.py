@@ -479,7 +479,13 @@ def test_validate_with_identity_rotation_matches_seed_algorithm(s):
     its own orbit, so with every curve as a representative the shortcut
     checks every row; a valid report must then be right and anything else
     must come from the full pass."""
-    assert_bounded_seed_report(validate(s, range(s.n)), s)
+    assert_bounded_seed_report(validate(promised(s, range(s.n))), s)
+
+
+def promised(s, representatives):
+    """A fresh copy of s built through IncidenceStructure.trusted with the
+    promise that representatives meet every orbit of some automorphism."""
+    return IncidenceStructure.trusted(s.alpha, s.n, s.vertices, representatives)
 
 
 def _cyclic(n, vertices):
@@ -505,7 +511,7 @@ def _cyclic(n, vertices):
 )
 def test_validate_with_cyclic_rotation_matches_seed_algorithm(n, base):
     s, representatives = _cyclic(n, base)
-    assert_bounded_seed_report(validate(s, representatives), IncidenceStructure(1, n, s.vertices))
+    assert_bounded_seed_report(validate(promised(s, representatives)), s)
 
 
 def test_orbit_shortcut_reads_one_row_per_cycle(monkeypatch):
@@ -521,7 +527,7 @@ def test_orbit_shortcut_reads_one_row_per_cycle(monkeypatch):
 
     monkeypatch.setattr("acckit.structure._full_report", None)
     monkeypatch.setattr("acckit.structure._meets_each_once", counted)
-    assert validate(s, representatives) == ValidationReport(valid=True, violations=())
+    assert validate(promised(s, representatives)) == ValidationReport(valid=True, violations=())
     assert rows == [[v for v in s.vertices if 0 in v]]
 
 
@@ -762,12 +768,17 @@ def _off_broken_line(s):
         (BIPLANE, range(7)),
         (with_pencil(DOUBLED), [0]),
         (IncidenceStructure(2, 5, [range(5)] * 2), range(5)),
+        # Row 0 meets every other curve once, as alpha = 1 would ask.
+        (IncidenceStructure(2, 7, _cyclic(7, [(0, 1, 3)])[0].vertices), [0]),
     ],
 )
 def test_representatives_are_ignored_above_alpha_one(s, representatives):
-    """Representatives narrow the rows only for alpha = 1; any other alpha
-    gets the report it gets without them."""
-    assert validate(s, representatives) == validate(IncidenceStructure(s.alpha, s.n, s.vertices))
+    """Representatives narrow the rows only for alpha = 1; at any other
+    alpha trusted keeps no report, and validate gives the one it gives
+    without them."""
+    trusted = promised(s, representatives)
+    assert trusted._report is None
+    assert validate(trusted) == validate(IncidenceStructure(s.alpha, s.n, s.vertices))
 
 
 @st.composite

@@ -518,42 +518,45 @@ def cycles(permutation):
 
 def _expand_recording(spec):
     """Expand spec; return the outcome, every (structure, representatives,
-    report) that expansion passed to and got from validate, and how many
-    full validation passes ran."""
+    kept report) that expansion handed to and got from
+    IncidenceStructure.trusted, and how many full validation passes ran."""
     calls, full = [], []
-    real_validate, real_full_report = acckit.wedge.validate, acckit.structure._full_report
+    real_trusted, real_full_report = IncidenceStructure.trusted, acckit.structure._full_report
 
-    def recording(s, representatives=None):
-        report = real_validate(s, representatives)
-        calls.append((s, representatives, report))
-        return report
+    def recording(alpha, n, vertices, representatives=()):
+        s = real_trusted(alpha, n, vertices, representatives)
+        calls.append((s, representatives, s._report))
+        return s
 
     def counting(s):
         full.append(s)
         return real_full_report(s)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(acckit.wedge, "validate", recording)
+        patch.setattr(IncidenceStructure, "trusted", staticmethod(recording))
         patch.setattr(acckit.structure, "_full_report", counting)
         outcome = _expansion_outcome(lambda: expand(spec).structure)
     return outcome, calls, len(full)
 
 
 def _check_orbit_validation(spec):
-    """The reference rotation maps the records expansion hands to validate
+    """The reference rotation maps the records expansion hands to trusted
     onto themselves, and each of its cycles holds exactly one of the
-    representatives passed with them; the report equals the full pass on a
-    fresh copy, and the full pass ran during expansion exactly when the
-    structure is invalid."""
+    representatives passed with them; trusted keeps a valid report exactly
+    when the structure is valid, the report validate ends with equals the
+    full pass on a fresh copy, and the full pass ran during expansion
+    exactly when the structure is invalid."""
     outcome, calls, full_passes = _expand_recording(spec)
     assert len(calls) <= 1
-    for s, representatives, report in calls:
+    for s, representatives, kept in calls:
         rotation = reference_rotation(acckit.wedge._Expansion(spec))
         assert is_automorphism(s, rotation)
         assert [len(cycle.intersection(representatives)) for cycle in cycles(rotation)] == [1] * len(representatives)
-        assert report == validate(IncidenceStructure(1, s.n, list(s.vertices)))
+        report = validate(IncidenceStructure(1, s.n, list(s.vertices)))
+        assert s._report == report
+        assert kept == (report if report.valid else None)
         assert (outcome is s) == report.valid
-    assert full_passes == (len(calls) == 1 and not calls[0][2].valid)
+    assert full_passes == (len(calls) == 1 and calls[0][2] is None)
     return calls
 
 
@@ -571,7 +574,7 @@ def test_orbit_validation_matches_full_validation(spec):
 @pytest.mark.parametrize("j", [*range(1, 17), 32, 64])
 def test_family_orbit_validation_matches_full_validation(j):
     calls = _check_orbit_validation(family_wedge(j))
-    assert len(calls) == 1 and calls[0][2].valid
+    assert len(calls) == 1 and calls[0][2] is not None
     # Mirrors 0 and 1, the first copy of each beam and the line at infinity.
     assert calls[0][1] == [0, 1, 6 * j + 2, 12 * j + 4, 18 * j + 6]
 
