@@ -14,9 +14,8 @@ _HOME = {
     name: module
     for module, names in {
         "audits": (
-            "DichotomyReport DiracAuditReport DyadicProfileParams DyadicWindowReport PairIdentityReport "
-            "TkBoundEntry TkBoundsReport audit_dirac audit_pair_identity audit_tk_bounds dichotomy_report "
-            "dyadic_profile"
+            "DichotomyReport DiracAuditReport DyadicProfileParams DyadicWindowReport TkBoundEntry "
+            "TkBoundsReport audit_dirac audit_tk_bounds dichotomy_report dyadic_profile"
         ),
         "family": "family_wedge gen_near_pencil gen_pencil gen_simple_cyclic",
         "formats": "ParseError parse_structure parse_wedge serialize_structure serialize_wedge",

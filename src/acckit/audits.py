@@ -216,21 +216,6 @@ def audit_dirac(s: IncidenceStructure) -> DiracAuditReport:
     )
 
 
-@dataclass(frozen=True)
-class PairIdentityReport:
-    """Sum of the pair-minimum-degree profile against the pair count."""
-
-    holds: bool
-    observed: int
-    expected: int
-
-
-def audit_pair_identity(stats: Stats, n: int) -> PairIdentityReport:
-    expected = math.comb(n, 2)
-    observed = stats.ld_total()
-    return PairIdentityReport(holds=observed == expected, observed=observed, expected=expected)
-
-
 def _range_error(name: str, interval: str, value: Fraction) -> ValueError:
     """name's range error, naming value unless it has more digits than str() converts."""
     try:

@@ -236,13 +236,19 @@ def _printable_lower(report: DyadicWindowReport) -> str:
 
 
 def _cmd_audit(args) -> tuple[int, str]:
-    from . import audits
+    if args.audit != "pairs":
+        from . import audits
 
     s = _detect_structure(_read_input(args.input))
     lines: list[str] = []
     failed = False
 
-    if args.audit == "thm3":
+    if args.audit == "pairs":
+        # Each of the C(n, 2) curve pairs has one least common-vertex degree.
+        observed, expected = compute_stats(s).ld_total(), math.comb(s.n, 2)
+        failed |= _check(lines, "pairs", observed == expected, f"{observed}/{expected}")
+
+    elif args.audit == "thm3":
         report = audits.audit_tk_bounds(compute_stats(s), s.alpha, s.n)
         for entry in report.entries:
             if entry.tk == 0:
@@ -269,10 +275,6 @@ def _cmd_audit(args) -> tuple[int, str]:
             if not args.quiet:
                 witness = ",".join(str(i) for i in report.witness_subset)
                 lines.append(f"NOTE dirac g={report.g} h={report.h} witness={witness}")
-
-    elif args.audit == "pairs":
-        report = audits.audit_pair_identity(compute_stats(s), s.n)
-        failed |= _check(lines, "pairs", report.holds, f"{report.observed}/{report.expected}")
 
     elif args.audit == "dyadic":
         stats = compute_stats(s)

@@ -15,13 +15,11 @@ palette.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .wedge import WedgeSpec, expand
 
 _SIZE = 640
-_RADIUS_BASE = Fraction(100)
-_RADIUS_RATIO = Fraction(4, 5)
+_RADIUS_BASE = 100
 _BEAM_STROKES = {"red": "#c0392b", "blue": "#2f5fc0"}
 _PALETTE = ("#2e8b57", "#8e44ad", "#b8860b", "#16a085", "#aa3377", "#557711")
 # (4/5)**4 <= 1/2 and 100 < 2**7, so from rank 4 * (7 + 1075) on the radius
@@ -42,10 +40,11 @@ def _fmt(x: float) -> str:
 
 def _radii(spec: WedgeSpec) -> dict[int, float]:
     """The float radius of every rank the beams bounce at, checked to keep
-    the rank order.  Past the underflow rank it is 0.0 without forming the
-    exact power."""
+    the rank order.  int / int rounds the exact quotient once, so each
+    radius is the float nearest 100 * (4/5)**rank; past the underflow rank
+    it is 0.0 without forming the powers."""
     ranks = {e.rank for beam in spec.beams for e in beam.events}
-    radii = {rank: 0.0 if rank >= _UNDERFLOW_RANK else float(_RADIUS_BASE * _RADIUS_RATIO**rank) for rank in ranks}
+    radii = {rank: 0.0 if rank >= _UNDERFLOW_RANK else _RADIUS_BASE * 4**rank / 5**rank for rank in ranks}
     ordered = sorted(radii)
     for a, b in zip(ordered, ordered[1:]):
         if not radii[a] > radii[b]:
@@ -73,7 +72,6 @@ def _beam(name: str, index: int, pts) -> str:
 def render_wedge(spec: WedgeSpec) -> str:
     """One wedge: two mirror rays at angle pi/m plus the beam polylines."""
     angle = math.pi / spec.m
-    base = float(_RADIUS_BASE)
     radii = _radii(spec)
 
     def point(side: str, rank: int) -> tuple[float, float]:
@@ -82,9 +80,9 @@ def render_wedge(spec: WedgeSpec) -> str:
             return (r, 0.0)
         return (r * math.cos(angle), -r * math.sin(angle))
 
-    ray_len = base * 1.25
+    ray_len = _RADIUS_BASE * 1.25
     height = ray_len * math.sin(angle)
-    pad = base * 0.08
+    pad = _RADIUS_BASE * 0.08
     view = f"{_fmt(-pad)} {_fmt(-height - pad)} {_fmt(ray_len + 2 * pad)} {_fmt(height + 2 * pad)}"
 
     parts = [
@@ -107,10 +105,9 @@ def render_arrangement(spec: WedgeSpec) -> str:
     infinity as the bounding circle (drawn as a closed polyline)."""
     arrangement = expand(spec)
     m = spec.m
-    base = float(_RADIUS_BASE)
     radii = _radii(spec)
 
-    circle_r = base * 1.05
+    circle_r = _RADIUS_BASE * 1.05
 
     def ray_angle(ray: int) -> float:
         return ray * math.pi / m

@@ -242,18 +242,27 @@ class _Expansion:
         self.m = m = spec.m
         self.nw = nw = 2 * m
         self.entered: list[list[int]] = []
+        # Each beam's copies in id order, as the i of their entry wedge 2i.
+        self.entries: list[list[int]] = []
         self.ideal_members: list[list[int]] = [[] for _ in range(m)]
+        # The (beam, segment) pairs bouncing at each (side, rank).
+        self.bouncing: dict[tuple[str, int], list[tuple[int, int]]] = {}
         next_id = m
-        for beam in spec.beams:
+        for bi, beam in enumerate(spec.beams):
             # The copy entering at wedge 2i enters again at 2i + back, and
             # both its ends lie on mirror 2i mod m.
             back = 2 * len(beam.events) - 1
+            entries = sorted(range(m), key=lambda i: min(2 * i, (2 * i + back) % nw))
             entered = [0] * m
-            for copy, i in enumerate(sorted(range(m), key=lambda i: min(2 * i, (2 * i + back) % nw)), next_id):
+            for copy, i in enumerate(entries, next_id):
                 entered[i] = copy
                 self.ideal_members[2 * i % m].append(copy)
             self.entered.append(entered)
+            self.entries.append(entries)
             next_id += m
+            for s, event in enumerate(beam.events):
+                self.bouncing.setdefault(event.key, []).append((bi, s))
+        self.ranks = {side: sorted(rank for on, rank in self.bouncing if on == side) for side in (TOP, BOTTOM)}
         self.infinity_id = next_id
         self.n = next_id + 1
         self._find_crossings()
@@ -263,12 +272,12 @@ class _Expansion:
         even entry 2i to 2i + 2t when that is its lower entry, else falling
         from 2i + 2t back to 2i."""
         paths: list[CopyPath] = []
-        for beam, entered in zip(self.spec.beams, self.entered):
+        for beam, entries in zip(self.spec.beams, self.entries):
             ranks = [event.rank for event in beam.events]
             # Each copy's waypoint kinds and ranks, the same read either way.
             shape = [("ideal", 0)] + [("bounce", rank) for rank in ranks + ranks[-2::-1]] + [("ideal", 0)]
             span = 2 * len(ranks)
-            for copy, i in enumerate(sorted(range(self.m), key=entered.__getitem__)):
+            for copy, i in enumerate(entries):
                 e = 2 * i
                 rays = range(e, e + span + 1) if e < (e + span - 1) % self.nw else range(e + span, e - 1, -1)
                 waypoints = tuple((kind, ray % self.nw, rank) for (kind, rank), ray in zip(shape, rays))
@@ -287,12 +296,6 @@ class _Expansion:
         instead.  Interleaving does not depend on where the cycle is cut, so
         with each chord as its (lo, hi) positions it is one comparison.
         """
-        ranks: dict[str, set[int]] = {TOP: set(), BOTTOM: set()}
-        for beam in self.spec.beams:
-            for event in beam.events:
-                ranks[event.side].add(event.rank)
-        self.ranks = {side: sorted(found) for side, found in ranks.items()}
-
         ideal = len(self.ranks[BOTTOM])
         position = {(BOTTOM, rank): ideal - 1 - i for i, rank in enumerate(self.ranks[BOTTOM])}
         position.update(((TOP, rank), ideal + 2 + i) for i, rank in enumerate(self.ranks[TOP]))
@@ -346,17 +349,13 @@ class _Expansion:
         """
         m, nw = self.m, self.nw
         ids: list[tuple[int, ...]] = [tuple(range(m))]
-        bouncing: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        for bi, beam in enumerate(self.spec.beams):
-            for s, event in enumerate(beam.events):
-                bouncing.setdefault(event.key, []).append((bi, s))
         for side, parity in ((BOTTOM, 0), (TOP, 1)):
             mirrors = [ray % m for ray in range(parity, nw, 2)]
             for rank in self.ranks[side]:
                 # For each beam, its copies on rays parity, parity + 2, ...
                 # and on the wedges just before those rays.
                 columns = []
-                for bi, s in bouncing[side, rank]:
+                for bi, s in self.bouncing[side, rank]:
                     column = self._column(bi, s)
                     columns.append(column[parity::2])
                     columns.append(column[0::2] if parity else column[-1:] + column[1:-1:2])

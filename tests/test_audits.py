@@ -19,7 +19,6 @@ from acckit import (
     TkBoundEntry,
     TkBoundsReport,
     audit_dirac,
-    audit_pair_identity,
     audit_tk_bounds,
     compute_stats,
     dichotomy_report,
@@ -214,17 +213,14 @@ def test_dirac_budget_exceeded(monkeypatch):
 
 def test_pair_identity_examples():
     s = expand(family_wedge(1)).structure
-    report = audit_pair_identity(compute_stats(s), 25)
-    assert report.holds and report.observed == report.expected == 300
+    assert compute_stats(s).ld_total() == math.comb(25, 2) == 300
 
     triangle = gen_simple_cyclic(3)
-    report = audit_pair_identity(compute_stats(triangle), 3)
-    assert report.holds and report.observed == 3
+    assert compute_stats(triangle).ld_total() == math.comb(3, 2) == 3
 
     plane = pg2(3)
     s = structure_from_lines(plane, range(13))
-    report = audit_pair_identity(compute_stats(s), 13)
-    assert report.holds and report.observed == 78
+    assert compute_stats(s).ld_total() == math.comb(13, 2) == 78
 
 
 def test_integer_power_root():
@@ -425,8 +421,7 @@ def test_tk_bounds_hold_on_random_plane_structures(s):
 @settings(derandomize=True, max_examples=80)
 @given(plane_substructures())
 def test_pair_identity_holds_on_random_plane_structures(s):
-    report = audit_pair_identity(compute_stats(s), s.n)
-    assert report.holds
+    assert compute_stats(s).ld_total() == math.comb(s.n, 2)
 
 
 @settings(derandomize=True, max_examples=60)

@@ -910,9 +910,9 @@ print(code, *sorted(name for name in sys.modules if name.split(".")[0] in ("acck
 
 def test_each_command_loads_only_its_modules(tmp_path):
     """`import acckit` loads no submodule, and each command loads only the
-    modules it runs: .acc input never loads the expansion, validate, stats,
-    audit pairs and audit dirac on .acc never load fractions, and nothing
-    loads a network module."""
+    modules it runs: .acc input never loads the expansion, audit pairs never
+    loads the audits, validate, stats, audit pairs and audit dirac on .acc
+    and rendering never load fractions, and nothing loads a network module."""
     acc, wedge = tmp_path / "j1.acc", tmp_path / "j1.wedge"
     wedge.write_text(serialize_wedge(family_wedge(1)))
     acc.write_text(serialize_structure(expand(family_wedge(1)).structure))
@@ -921,13 +921,15 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ([], {"acckit"}, False),
         (["validate", acc], BASE_MODULES, False),
         (["stats", acc], BASE_MODULES, False),
-        (["audit", "pairs", acc], BASE_MODULES | {"acckit.audits"}, False),
+        (["audit", "pairs", acc], BASE_MODULES, False),
+        (["audit", "pairs", wedge], BASE_MODULES | {"acckit.wedge"}, True),
         (["audit", "dirac", acc], BASE_MODULES | {"acckit.audits"}, False),
         (["stats", wedge], BASE_MODULES | {"acckit.wedge"}, True),
         (["gen", "pg2", "--p", "3", "--all"], BASE_MODULES, True),
         (["gen", "pencil", "--n", "4"], BASE_MODULES, True),
         (["gen", "family", "--j", "1"], BASE_MODULES | {"acckit.wedge"}, True),
-        (["render", "wedge", wedge], BASE_MODULES | {"acckit.render", "acckit.wedge"}, True),
+        (["render", "wedge", wedge], BASE_MODULES | {"acckit.render", "acckit.wedge"}, False),
+        (["render", "arrangement", wedge], BASE_MODULES | {"acckit.render", "acckit.wedge"}, False),
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(acckit.cli.__file__).parents[1])}
     for argv, modules, fractions in cases:

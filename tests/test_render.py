@@ -78,9 +78,22 @@ def test_arrangement_propagates_expansion_errors():
         render_arrangement(WedgeSpec(3, (beam,)))
 
 
+def _exact_radius(rank):
+    return Fraction(100) * Fraction(4, 5) ** rank
+
+
 def test_radius_map_monotone():
-    radii = [render._RADIUS_BASE * render._RADIUS_RATIO**rank for rank in range(1, 8)]
+    radii = [_exact_radius(rank) for rank in range(1, 8)]
     assert all(a > b for a, b in zip(radii, radii[1:]))
+
+
+def test_radius_is_the_exact_radius_rounded():
+    """Every radius below the underflow rank is the float of the exact
+    100 * (4/5)**rank.  One rank a wedge: far ranks share the float 0.0,
+    which the rank-order check refuses."""
+    for rank in range(1, render._UNDERFLOW_RANK):
+        spec = WedgeSpec(2, [BeamSpec("b", [BounceEvent("T", rank)])])
+        assert render._radii(spec) == {rank: float(_exact_radius(rank))}, rank
 
 
 def test_rendering_does_not_mutate():
@@ -106,10 +119,10 @@ def test_underflow_rank_is_where_floats_are_zero():
     """From the underflow rank on, the exact radius rounds to 0.0, so taking
     0.0 there without forming it changes no output; and the bound is within
     a factor 2 of the first rank that rounds to 0.0."""
-    base, ratio, cutoff = render._RADIUS_BASE, render._RADIUS_RATIO, render._UNDERFLOW_RANK
-    assert (base, ratio) == (100, Fraction(4, 5))
-    assert float(base * ratio**cutoff) == 0.0
-    assert float(base * ratio ** (cutoff // 2)) > 0.0
+    cutoff = render._UNDERFLOW_RANK
+    assert render._RADIUS_BASE == 100
+    assert float(_exact_radius(cutoff)) == 0.0
+    assert float(_exact_radius(cutoff // 2)) > 0.0
 
 
 @pytest.mark.parametrize("target", ["wedge", "arrangement"])
