@@ -83,6 +83,9 @@ class IncidenceStructure:
         ids and each of their rows meets every other curve exactly once,
         the structure is valid and keeps that report for validate.
         Otherwise, and at any other alpha, validate runs its full pass.
+        Only the records on those rows are sized: a record holds some curve,
+        so some power of the permutation carries it onto a record of the
+        same size on that curve's representative's row.
         """
         s = object.__new__(cls)
         object.__setattr__(s, "alpha", alpha)
@@ -238,11 +241,13 @@ def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
 
 
 def _orbit_rows_meet_once(s: IncidenceStructure, rows: set[int]) -> bool:
-    """For alpha = 1 (see IncidenceStructure.trusted): every record holds
-    two or more ids and the row of each curve in rows meets every other once."""
-    if min(map(len, s.vertices), default=0) < 2:
+    """For alpha = 1 (see IncidenceStructure.trusted): every record on the
+    rows holds two or more ids and the row of each curve in rows meets every
+    other once."""
+    on_rows = [vertex for vertex in s.vertices if not rows.isdisjoint(vertex)]
+    if min(map(len, on_rows), default=0) < 2:
         return False
-    on = _records_by_curve(vertex for vertex in s.vertices if not rows.isdisjoint(vertex))
+    on = _records_by_curve(on_rows)
     return all(_meets_each_once(on.get(i, []), s.n) for i in rows)
 
 

@@ -146,42 +146,6 @@ Waypoint = tuple[str, int, int]
 CopyPath = tuple[str, int, tuple[Waypoint, ...]]
 
 
-class ExpandedArrangement:
-    """Expansion result: the incidence structure plus provenance labels.
-
-    line_labels[i] describes curve id i; vertex_labels[j] describes
-    structure.vertices[j].  paths holds every beam copy's boundary
-    traversal in curve id order, for the renderer.  Expansion itself builds
-    only the curve ids; line_labels, vertex_labels and paths are built on
-    first read and then kept.  The structure always passes validation with
-    alpha = 1; expansion raises instead of returning anything weaker.
-    """
-
-    def __init__(self, structure: IncidenceStructure, expansion: _Expansion, ids: list[tuple[int, ...]]):
-        self.structure = structure
-        self._expansion = expansion
-        # The records in the order they were built; structure.vertices holds
-        # them sorted.
-        self._ids = ids
-
-    @cached_property
-    def line_labels(self) -> tuple[LineLabel, ...]:
-        return self._expansion.line_labels()
-
-    @cached_property
-    def vertex_labels(self) -> tuple[VertexLabel, ...]:
-        order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
-        return tuple(map(self._expansion.vertex_labels().__getitem__, order))
-
-    @cached_property
-    def paths(self) -> tuple[CopyPath, ...]:
-        return self._expansion.paths()
-
-    def apex_degree(self) -> int:
-        # The apex record holds the m mirrors.
-        return self._expansion.m
-
-
 class SelfCrossingBeam(ExpansionError):
     def __init__(self, beam: str, s1: int, s2: int):
         self.beam = beam
@@ -213,8 +177,16 @@ def check_expansion_size(m: int, bounces: int) -> None:
     check_size("expansion", m + 2 * m * bounces, "mirrors and beam atoms")
 
 
-class _Expansion:
-    """The machinery behind expand().
+class ExpandedArrangement:
+    """A wedge's dihedral expansion: the incidence structure plus provenance
+    labels.
+
+    line_labels[i] describes curve id i; vertex_labels[j] describes
+    structure.vertices[j].  paths holds every beam copy's boundary
+    traversal in curve id order, for the renderer.  The constructor builds
+    only the copy routes and the crossings, and raises what expand raises
+    before assembly; structure, line_labels, vertex_labels and paths are
+    built on first read and then kept, and only structure validates.
 
     A beam's bounces alternate sides from the top edge, so every bounce
     carries a copy one wedge image on: from even wedge w a top bounce
@@ -223,7 +195,7 @@ class _Expansion:
     runs segment s in wedge e + s on the way out and in wedge e + 2t - 1 - s
     on the way back (mod 2m), meets rays e, e + 1, ..., e + 2t, and enters
     again at odd wedge e + 2t - 1.  So every beam has m copies, one per even
-    entry wedge, numbered by their lower entry wedge; entered[bi][i] is the
+    entry wedge, numbered by their lower entry wedge; _entered[bi][i] is the
     curve id of beam bi's copy entering at wedge 2i, and columns, paths and
     the rotation are read from it only when asked for.
     """
@@ -238,15 +210,15 @@ class _Expansion:
             if other:
                 raise NonClosingBeam(beam.name, (0, other))
         check_expansion_size(spec.m, sum(len(beam.events) for beam in spec.beams))
-        self.spec = spec
-        self.m = m = spec.m
-        self.nw = nw = 2 * m
-        self.entered: list[list[int]] = []
+        self._spec = spec
+        self._m = m = spec.m
+        self._nw = nw = 2 * m
+        self._entered: list[list[int]] = []
         # Each beam's copies in id order, as the i of their entry wedge 2i.
-        self.entries: list[list[int]] = []
-        self.ideal_members: list[list[int]] = [[] for _ in range(m)]
+        self._entries: list[list[int]] = []
+        self._ideal_members: list[list[int]] = [[] for _ in range(m)]
         # The (beam, segment) pairs bouncing at each (side, rank).
-        self.bouncing: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self._bouncing: dict[tuple[str, int], list[tuple[int, int]]] = {}
         next_id = m
         for bi, beam in enumerate(spec.beams):
             # The copy entering at wedge 2i enters again at 2i + back, and
@@ -256,36 +228,77 @@ class _Expansion:
             entered = [0] * m
             for copy, i in enumerate(entries, next_id):
                 entered[i] = copy
-                self.ideal_members[2 * i % m].append(copy)
-            self.entered.append(entered)
-            self.entries.append(entries)
+                self._ideal_members[2 * i % m].append(copy)
+            self._entered.append(entered)
+            self._entries.append(entries)
             next_id += m
             for s, event in enumerate(beam.events):
-                self.bouncing.setdefault(event.key, []).append((bi, s))
-        self.ranks = {side: sorted(rank for on, rank in self.bouncing if on == side) for side in (TOP, BOTTOM)}
-        self.infinity_id = next_id
-        self.n = next_id + 1
-        self._find_crossings()
+                self._bouncing.setdefault(event.key, []).append((bi, s))
+        self._ranks = {side: sorted(rank for on, rank in self._bouncing if on == side) for side in (TOP, BOTTOM)}
+        # The line at infinity is the last curve, n - 1.
+        self._n = next_id + 1
+        self._crossing_pairs = self._find_crossings()
 
+    @cached_property
+    def structure(self) -> IncidenceStructure:
+        """The alpha = 1 structure, built and validated on first read.
+        Raises ValidationFailed, on every read, when it is not valid."""
+        # Every record is a rising tuple of ids within 0..n-1 by construction
+        # (see _vertex_ids), and _orbit_starts() meets every orbit of a
+        # rotation that carries the records onto themselves.
+        structure = IncidenceStructure.trusted(1, self._n, sorted(self._vertex_ids()), self._orbit_starts())
+        report = validate(structure)
+        if not report.valid:
+            raise ValidationFailed(report)
+        return structure
+
+    @cached_property
+    def line_labels(self) -> tuple[LineLabel, ...]:
+        labels: list[LineLabel] = [Mirror(i) for i in range(self._m)]
+        for beam in self._spec.beams:
+            labels.extend(BeamCopy(beam.name, copy) for copy in range(self._m))
+        labels.append(LineAtInfinity())
+        return tuple(labels)
+
+    @cached_property
+    def vertex_labels(self) -> tuple[VertexLabel, ...]:
+        """Each vertex's label, in the sorted order of structure.vertices."""
+        # The labels in _vertex_ids() order.
+        labels: list[VertexLabel] = [Apex()]
+        for side, parity in ((BOTTOM, 0), (TOP, 1)):
+            for rank in self._ranks[side]:
+                labels.extend(Bounce(ray, rank) for ray in range(parity, self._nw, 2))
+        labels.extend(map(Ideal, range(self._m)))
+        for _ in self._crossing_pairs:
+            labels.extend(map(Crossing, range(self._nw)))
+        ids = self._vertex_ids()
+        return tuple(map(labels.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)))
+
+    @cached_property
     def paths(self) -> tuple[CopyPath, ...]:
         """Every copy's waypoints, in curve id order: rays rising from its
         even entry 2i to 2i + 2t when that is its lower entry, else falling
         from 2i + 2t back to 2i."""
         paths: list[CopyPath] = []
-        for beam, entries in zip(self.spec.beams, self.entries):
+        for beam, entries in zip(self._spec.beams, self._entries):
             ranks = [event.rank for event in beam.events]
             # Each copy's waypoint kinds and ranks, the same read either way.
             shape = [("ideal", 0)] + [("bounce", rank) for rank in ranks + ranks[-2::-1]] + [("ideal", 0)]
             span = 2 * len(ranks)
             for copy, i in enumerate(entries):
                 e = 2 * i
-                rays = range(e, e + span + 1) if e < (e + span - 1) % self.nw else range(e + span, e - 1, -1)
-                waypoints = tuple((kind, ray % self.nw, rank) for (kind, rank), ray in zip(shape, rays))
+                rays = range(e, e + span + 1) if e < (e + span - 1) % self._nw else range(e + span, e - 1, -1)
+                waypoints = tuple((kind, ray % self._nw, rank) for (kind, rank), ray in zip(shape, rays))
                 paths.append((beam.name, copy, waypoints))
         return tuple(paths)
 
-    def _find_crossings(self):
-        """Interleaving segment pairs inside the fundamental wedge.
+    def apex_degree(self) -> int:
+        # The apex record holds the m mirrors.
+        return self._m
+
+    def _find_crossings(self) -> list[tuple[int, int, int, int]]:
+        """Interleaving segment pairs inside the fundamental wedge, as
+        (beam, segment, beam, segment).
 
         Boundary cycle, numbered from 0: the bottom ranks outward
         (decreasing rank), the bottom ideal point, the top ideal point, then
@@ -296,44 +309,38 @@ class _Expansion:
         instead.  Interleaving does not depend on where the cycle is cut, so
         with each chord as its (lo, hi) positions it is one comparison.
         """
-        ideal = len(self.ranks[BOTTOM])
-        position = {(BOTTOM, rank): ideal - 1 - i for i, rank in enumerate(self.ranks[BOTTOM])}
-        position.update(((TOP, rank), ideal + 2 + i) for i, rank in enumerate(self.ranks[TOP]))
+        ideal = len(self._ranks[BOTTOM])
+        position = {(BOTTOM, rank): ideal - 1 - i for i, rank in enumerate(self._ranks[BOTTOM])}
+        position.update(((TOP, rank), ideal + 2 + i) for i, rank in enumerate(self._ranks[TOP]))
 
         chords: list[tuple[int, int, int, int]] = []  # (beam, segment, lo, hi)
-        for bi, beam in enumerate(self.spec.beams):
+        for bi, beam in enumerate(self._spec.beams):
             for s in range(len(beam.events)):
                 start = ideal if s == 0 else position[beam.events[s - 1].key]
                 end = position[beam.events[s].key]
                 chords.append((bi, s, min(start, end), max(start, end)))
 
-        self.crossing_pairs: list[tuple[int, int, int, int]] = []
+        pairs = []
         for (b1, s1, lo1, hi1), (b2, s2, lo2, hi2) in combinations(chords, 2):
             if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
                 if b1 == b2:
-                    raise SelfCrossingBeam(self.spec.beams[b1].name, s1, s2)
-                self.crossing_pairs.append((b1, s1, b2, s2))
-
-    def line_labels(self) -> tuple[LineLabel, ...]:
-        labels: list[LineLabel] = [Mirror(i) for i in range(self.m)]
-        for beam in self.spec.beams:
-            labels.extend(BeamCopy(beam.name, copy) for copy in range(self.m))
-        labels.append(LineAtInfinity())
-        return tuple(labels)
+                    raise SelfCrossingBeam(self._spec.beams[b1].name, s1, s2)
+                pairs.append((b1, s1, b2, s2))
+        return pairs
 
     def _column(self, bi: int, s: int) -> list[int]:
         """Curve ids of beam bi's segment s in wedges 0..2m-1: in wedge
         w = s + 2j the copy entering at 2j on its way out, in the others
         the copy entering at w + s + 1 - 2t on its way back."""
-        entered, t = self.entered[bi], len(self.spec.beams[bi].events)
-        out, back = -(s // 2) % self.m, (s // 2 + 1 - t) % self.m
-        column = [0] * self.nw
+        entered, t = self._entered[bi], len(self._spec.beams[bi].events)
+        out, back = -(s // 2) % self._m, (s // 2 + 1 - t) % self._m
+        column = [0] * self._nw
         column[s % 2 :: 2] = entered[out:] + entered[:out]
         column[1 - s % 2 :: 2] = entered[back:] + entered[:back]
         return column
 
-    def vertex_ids(self) -> list[tuple[int, ...]]:
-        """Every vertex's sorted curve ids, in the order vertex_labels lists
+    def _vertex_ids(self) -> list[tuple[int, ...]]:
+        """Every vertex's sorted curve ids, in the order vertex_labels builds
         their labels: the apex, the bounces by side (bottom first), rank and
         ray, the ideal points, then the crossings by segment pair and wedge.
 
@@ -347,15 +354,15 @@ class _Expansion:
         sorts these records, and once it passes validation no two are equal,
         so the sort has no ties to break.
         """
-        m, nw = self.m, self.nw
+        m, nw = self._m, self._nw
         ids: list[tuple[int, ...]] = [tuple(range(m))]
         for side, parity in ((BOTTOM, 0), (TOP, 1)):
             mirrors = [ray % m for ray in range(parity, nw, 2)]
-            for rank in self.ranks[side]:
+            for rank in self._ranks[side]:
                 # For each beam, its copies on rays parity, parity + 2, ...
                 # and on the wedges just before those rays.
                 columns = []
-                for bi, s in self.bouncing[side, rank]:
+                for bi, s in self._bouncing[side, rank]:
                     column = self._column(bi, s)
                     columns.append(column[parity::2])
                     columns.append(column[0::2] if parity else column[-1:] + column[1:-1:2])
@@ -366,47 +373,26 @@ class _Expansion:
                     )
                 else:
                     ids.extend((mi, *sorted(set(copies))) for mi, *copies in zip(mirrors, *columns))
-        ids.extend((mi, *members, self.infinity_id) for mi, members in enumerate(self.ideal_members))
-        for b1, s1, b2, s2 in self.crossing_pairs:
+        ids.extend((mi, *members, self._n - 1) for mi, members in enumerate(self._ideal_members))
+        for b1, s1, b2, s2 in self._crossing_pairs:
             ids.extend((a, b) if a < b else (b, a) for a, b in zip(self._column(b1, s1), self._column(b2, s2)))
         return ids
 
-    def vertex_labels(self) -> list[VertexLabel]:
-        """The label of each vertex, in vertex_ids() order."""
-        labels: list[VertexLabel] = [Apex()]
-        for side, parity in ((BOTTOM, 0), (TOP, 1)):
-            for rank in self.ranks[side]:
-                labels.extend(Bounce(ray, rank) for ray in range(parity, self.nw, 2))
-        labels.extend(map(Ideal, range(self.m)))
-        for _ in self.crossing_pairs:
-            labels.extend(map(Crossing, range(self.nw)))
-        return labels
-
-    def orbit_starts(self) -> list[int]:
+    def _orbit_starts(self) -> list[int]:
         """One curve id per orbit of the rotation by two wedge images, rising:
         mirror 0, mirror 1 when m is even, each beam's copy entering at
         wedge 0 (the least of its m ids) and the line at infinity.  The
         rotation sends mirror i to i + 2 mod m and each copy entering at
         wedge 2i to the one entering at 2i + 2, and fixes the line at
         infinity; a copy's whole route moves two wedges on with its entry,
-        and every record vertex_ids builds is indexed by ray or wedge, so it
-        carries the records onto themselves."""
-        return [*range(2 - self.m % 2), *(entered[0] for entered in self.entered), self.infinity_id]
-
-    def arrangement(self) -> ExpandedArrangement:
-        ids = self.vertex_ids()
-        # Every record is a rising tuple of ids within 0..n-1 by construction
-        # (see vertex_ids), and orbit_starts() meets every orbit of a rotation
-        # that carries the records onto themselves.
-        structure = IncidenceStructure.trusted(1, self.n, sorted(ids), self.orbit_starts())
-        report = validate(structure)
-        if not report.valid:
-            raise ValidationFailed(report)
-        return ExpandedArrangement(structure, self, ids)
+        and every record _vertex_ids builds is indexed by ray or wedge, so
+        it carries the records onto themselves."""
+        return [*range(2 - self._m % 2), *(entered[0] for entered in self._entered), self._n - 1]
 
 
 def expand(spec: WedgeSpec) -> ExpandedArrangement:
-    """Expand a wedge into the full dihedrally symmetric arrangement.
+    """Expand a wedge into the full dihedrally symmetric arrangement, its
+    structure built and validated.
 
     Deterministic and purely combinatorial.  Raises SelfCrossingBeam when two
     segments of one beam interleave inside a wedge, NonClosingBeam when a
@@ -421,5 +407,6 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     checks those rows instead of all n.  A failure runs validate's full
     pass, so ValidationFailed carries the same report either way.
     """
-    return _Expansion(spec).arrangement()
-
+    arrangement = ExpandedArrangement(spec)
+    arrangement.structure  # raises ValidationFailed
+    return arrangement

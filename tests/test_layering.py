@@ -1,9 +1,10 @@
 """Layering lint: no module of the package imports or reads another
-module's underscore name, imports a name it never reads, or holds an
-assert statement; the package exports exactly its allowlist, only
-expansion and parsing build structures without the constructor's checks,
-only the expansion hands those a promise of orbit representatives, and
-only limits.py reads the environment."""
+module's underscore name, names an underscore name in a public
+signature, imports a name it never reads, or holds an assert statement;
+the package exports exactly its allowlist, only expansion and parsing
+build structures without the constructor's checks, only the expansion
+hands those a promise of orbit representatives, and only limits.py reads
+the environment."""
 
 import ast
 import importlib
@@ -71,6 +72,73 @@ def test_no_module_uses_another_modules_private_names():
         uses = private_uses(path.read_text(encoding="utf-8"))
         if uses:
             offenders[path.name] = uses
+    assert offenders == {}
+
+
+def private_annotations(source: str) -> list[str]:
+    """Underscore names in the parameter and return annotations of a
+    module's public functions, the public methods of its public classes
+    and their __init__, string annotations included, as 'function: name'
+    strings in source order."""
+    tree = ast.parse(source)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    signatures = [(node.name, node) for node in tree.body if isinstance(node, functions)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not _private(cls.name):
+            signatures += [(f"{cls.name}.{node.name}", node) for node in cls.body if isinstance(node, functions)]
+    found = []
+    for name, function in signatures:
+        method = name.rpartition(".")[2]
+        if method.startswith("_") and method != "__init__":
+            continue
+        arguments = function.args
+        every = [*arguments.posonlyargs, *arguments.args, arguments.vararg, *arguments.kwonlyargs, arguments.kwarg]
+        annotations = [arg.annotation for arg in every if arg is not None] + [function.returns]
+        for annotation in filter(None, annotations):
+            roots = [annotation] + [
+                ast.parse(node.value, mode="eval")
+                for node in ast.walk(annotation)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            ]
+            for root in roots:
+                for node in ast.walk(root):
+                    used = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+                    if _private(used):
+                        found.append((annotation.lineno, f"{name}: {used}"))
+    return [entry for _, entry in sorted(found, key=lambda item: item[0])]
+
+
+def test_lint_catches_private_names_in_public_signatures():
+    source = (
+        "class ExpandedArrangement:\n"
+        "    def __init__(self, structure: IncidenceStructure, expansion: _Expansion, ids: list[int]):\n"
+        "        pass\n"
+        "    def read(self, rows: 'list[_Row]') -> formats._Cache: ...\n"
+        "    def _helper(self, builder: _Expansion): ...\n"
+        "    def __eq__(self, other: _Expansion): ...\n"
+        "class _Expansion:\n"
+        "    def __init__(self, spec: _Spec) -> None: ...\n"
+        "    def arrangement(self, spec: _Spec): ...\n"
+        "def expand(*specs: _Spec, **options: int) -> 'ExpandedArrangement': ...\n"
+        "def _expand(spec: _Spec) -> _Expansion: ...\n"
+    )
+    assert private_annotations(source) == [
+        "ExpandedArrangement.__init__: _Expansion",
+        "ExpandedArrangement.read: _Row",
+        "ExpandedArrangement.read: _Cache",
+        "expand: _Spec",
+    ]
+    assert private_annotations("def f(a: int, *, b: 'list[str]' = None) -> __future__.annotations: ...\n") == []
+
+
+def test_no_public_signature_names_a_private_name():
+    """Callers outside a module can build and pass only what its public
+    signatures name."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = private_annotations(path.read_text(encoding="utf-8"))
+        if found:
+            offenders[path.name] = found
     assert offenders == {}
 
 

@@ -17,6 +17,7 @@ from acckit import (
     Bounce,
     BounceEvent,
     Crossing,
+    ExpandedArrangement,
     ExpansionError,
     Ideal,
     IncidenceStructure,
@@ -41,7 +42,7 @@ def wedge_paths(spec):
     raises the errors found before assembly (NonClosingBeam,
     SizeLimitExceeded, SelfCrossingBeam) and never validates the assembled
     structure, so it also reaches wedges whose expansion is invalid."""
-    return [(name, copy, list(waypoints)) for name, copy, waypoints in acckit.wedge._Expansion(spec).paths()]
+    return [(name, copy, list(waypoints)) for name, copy, waypoints in ExpandedArrangement(spec).paths]
 
 
 def test_bounce_event_validation():
@@ -282,6 +283,31 @@ def test_arrangement_paths_match_wedge_paths():
     assert [(name, copy, list(points)) for name, copy, points in paths] == wedge_paths(spec)
 
 
+def test_structure_is_built_and_validated_on_first_read(monkeypatch):
+    """ExpandedArrangement(spec) builds only the routes, so an invalid
+    expansion still gives its paths and line labels without validating;
+    every read of structure raises the report that expand raises."""
+    spec = beams_wedge(4, "T1 B1", "T1 B1")
+    with pytest.raises(ValidationFailed) as expanded:
+        expand(spec)
+    assert sum(expanded.value.report.counts.values()) == 4
+    arr = ExpandedArrangement(spec)
+
+    def refuse(s):
+        raise AssertionError("validated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(acckit.wedge, "validate", refuse)
+        assert arr.paths == tuple(ReferenceExpansion(spec).paths)
+        copies = [BeamCopy(name, copy) for name in ("b0", "b1") for copy in range(4)]
+        assert arr.line_labels == (*map(Mirror, range(4)), *copies, LineAtInfinity())
+    for _ in range(2):
+        with pytest.raises(ValidationFailed) as read:
+            arr.structure
+        assert read.value.report == expanded.value.report
+        assert str(read.value) == str(expanded.value)
+
+
 class ReferenceExpansion:
     """The eager expansion, kept as a reference: one walk per beam copy that
     builds every waypoint tuple, a set per vertex record, a Bounce or
@@ -483,10 +509,10 @@ def reference_rotation(expansion):
     """Curve ids under rotation by two wedge images, as the expansion once
     built them: mirror i goes to mirror i + 2 mod m, each beam's copy
     entering at wedge 2i to the one entering at 2i + 2, and the line at
-    infinity stays."""
-    m = expansion.m
-    image = [(i + 2) % m for i in range(m)] + [expansion.infinity_id] * (expansion.n - m)
-    for entered in expansion.entered:
+    infinity, the last curve, stays."""
+    m, n = expansion._m, expansion._n
+    image = [(i + 2) % m for i in range(m)] + [n - 1] * (n - m)
+    for entered in expansion._entered:
         for copy, rotated in zip(entered, entered[1:] + entered[:1]):
             image[copy] = rotated
     return image
@@ -549,7 +575,7 @@ def _check_orbit_validation(spec):
     outcome, calls, full_passes = _expand_recording(spec)
     assert len(calls) <= 1
     for s, representatives, kept in calls:
-        rotation = reference_rotation(acckit.wedge._Expansion(spec))
+        rotation = reference_rotation(ExpandedArrangement(spec))
         assert is_automorphism(s, rotation)
         assert [len(cycle.intersection(representatives)) for cycle in cycles(rotation)] == [1] * len(representatives)
         report = validate(IncidenceStructure(1, s.n, list(s.vertices)))
