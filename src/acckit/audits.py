@@ -134,7 +134,9 @@ class DiracAuditReport:
 
 def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     """Max curves adjacent to all vertices of an alpha-subset, with the
-    lexicographically least witness subset (vertex indices).
+    lexicographically least witness subset (vertex indices).  Both callers
+    validate first, and a valid structure has n >= 2 curves, whose pairs
+    each lie on alpha records, so it holds at least alpha records.
 
     The C(vertices, alpha) subsets are refused over the budget set in
     ACCKIT_SUBSET_BUDGET (default 10^7) with SizeLimitExceeded, before the
@@ -161,9 +163,6 @@ def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     and number at most the records (the non-uniform Fisher inequality).
     """
     vcount = len(s.vertices)
-    if vcount < s.alpha:
-        # Valid structures always carry at least alpha vertices.
-        raise ValueError(f"structure has {vcount} vertices, fewer than alpha={s.alpha}")
     subsets = math.comb(vcount, s.alpha) if s.alpha > 1 else 0
     check_size("subset search", subsets, "evaluations", "ACCKIT_SUBSET_BUDGET")
     if s.alpha == 1:

@@ -55,7 +55,7 @@ def family_wedge(j: int) -> WedgeSpec:
     """Wedge of dihedral order 6j+2 generating the 18j+7 curve arrangement.
 
     Its two beams bounce 6j+2 = m times in all, so its expansion has size
-    m + 2m^2; a j whose expansion the budget refuses is refused here, with
+    6m + 2m^2; a j whose expansion the budget refuses is refused here, with
     SizeLimitExceeded, before any event is built.
     """
     # wedge.py is loaded here, not at import, so that the fixture

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat, starmap
+from typing import Iterable, Iterator
 
 from .limits import check_size
 from .structure import ExpansionError, IncidenceStructure, ValidationReport, validate
@@ -171,10 +172,12 @@ class ValidationFailed(ExpansionError):
 
 def check_expansion_size(m: int, bounces: int) -> None:
     """Refuse, before anything is built, an expansion of dihedral order m
-    whose beams bounce `bounces` times in all: it numbers m mirrors and
-    2m * bounces beam atoms, and that size may not exceed the budget set in
-    ACCKIT_EXPAND_BUDGET (default 10^7).  Raises SizeLimitExceeded."""
-    check_size("expansion", m + 2 * m * bounces, "mirrors and beam atoms")
+    whose beams bounce `bounces` times in all: it numbers 2m * bounces beam
+    atoms and m mirrors, each mirror with its id in the apex record and its
+    ideal record (a tuple, two ids and a line of text), so 6 units a mirror,
+    and that size may not exceed the budget set in ACCKIT_EXPAND_BUDGET
+    (default 10^7).  Raises SizeLimitExceeded."""
+    check_size("expansion", 6 * m + 2 * m * bounces, "units (6 per mirror, 1 per beam atom)")
 
 
 class ExpandedArrangement:
@@ -214,8 +217,6 @@ class ExpandedArrangement:
         self._m = m = spec.m
         self._nw = nw = 2 * m
         self._entered: list[list[int]] = []
-        # Each beam's copies in id order, as the i of their entry wedge 2i.
-        self._entries: list[list[int]] = []
         self._ideal_members: list[list[int]] = [[] for _ in range(m)]
         # The (beam, segment) pairs bouncing at each (side, rank).
         self._bouncing: dict[tuple[str, int], list[tuple[int, int]]] = {}
@@ -224,13 +225,11 @@ class ExpandedArrangement:
             # The copy entering at wedge 2i enters again at 2i + back, and
             # both its ends lie on mirror 2i mod m.
             back = 2 * len(beam.events) - 1
-            entries = sorted(range(m), key=lambda i: min(2 * i, (2 * i + back) % nw))
             entered = [0] * m
-            for copy, i in enumerate(entries, next_id):
+            for copy, i in enumerate(sorted(range(m), key=lambda i: min(2 * i, (2 * i + back) % nw)), next_id):
                 entered[i] = copy
                 self._ideal_members[2 * i % m].append(copy)
             self._entered.append(entered)
-            self._entries.append(entries)
             next_id += m
             for s, event in enumerate(beam.events):
                 self._bouncing.setdefault(event.key, []).append((bi, s))
@@ -243,10 +242,11 @@ class ExpandedArrangement:
     def structure(self) -> IncidenceStructure:
         """The alpha = 1 structure, built and validated on first read.
         Raises ValidationFailed, on every read, when it is not valid."""
-        # Every record is a rising tuple of ids within 0..n-1 by construction
-        # (see _vertex_ids), and _orbit_starts() meets every orbit of a
-        # rotation that carries the records onto themselves.
-        structure = IncidenceStructure.trusted(1, self._n, sorted(self._vertex_ids()), self._orbit_starts())
+        # Every record is a rising tuple of two or more ids within 0..n-1 by
+        # construction (see _vertex_groups), and _orbit_starts() meets every
+        # orbit of a rotation that carries the records onto themselves.
+        records = sorted(chain.from_iterable(group for group, _ in self._vertex_groups()))
+        structure = IncidenceStructure.trusted(1, self._n, records, self._orbit_starts())
         report = validate(structure)
         if not report.valid:
             raise ValidationFailed(report)
@@ -263,15 +263,11 @@ class ExpandedArrangement:
     @cached_property
     def vertex_labels(self) -> tuple[VertexLabel, ...]:
         """Each vertex's label, in the sorted order of structure.vertices."""
-        # The labels in _vertex_ids() order.
-        labels: list[VertexLabel] = [Apex()]
-        for side, parity in ((BOTTOM, 0), (TOP, 1)):
-            for rank in self._ranks[side]:
-                labels.extend(Bounce(ray, rank) for ray in range(parity, self._nw, 2))
-        labels.extend(map(Ideal, range(self._m)))
-        for _ in self._crossing_pairs:
-            labels.extend(map(Crossing, range(self._nw)))
-        ids = self._vertex_ids()
+        ids: list[tuple[int, ...]] = []
+        labels: list[VertexLabel] = []
+        for records, group_labels in self._vertex_groups():
+            ids.extend(records)
+            labels.extend(group_labels)
         return tuple(map(labels.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)))
 
     @cached_property
@@ -280,12 +276,12 @@ class ExpandedArrangement:
         even entry 2i to 2i + 2t when that is its lower entry, else falling
         from 2i + 2t back to 2i."""
         paths: list[CopyPath] = []
-        for beam, entries in zip(self._spec.beams, self._entries):
+        for beam, entered in zip(self._spec.beams, self._entered):
             ranks = [event.rank for event in beam.events]
             # Each copy's waypoint kinds and ranks, the same read either way.
             shape = [("ideal", 0)] + [("bounce", rank) for rank in ranks + ranks[-2::-1]] + [("ideal", 0)]
             span = 2 * len(ranks)
-            for copy, i in enumerate(entries):
+            for copy, i in enumerate(sorted(range(self._m), key=entered.__getitem__)):
                 e = 2 * i
                 rays = range(e, e + span + 1) if e < (e + span - 1) % self._nw else range(e + span, e - 1, -1)
                 waypoints = tuple((kind, ray % self._nw, rank) for (kind, rank), ray in zip(shape, rays))
@@ -339,44 +335,43 @@ class ExpandedArrangement:
         column[1 - s % 2 :: 2] = entered[back:] + entered[:back]
         return column
 
-    def _vertex_ids(self) -> list[tuple[int, ...]]:
-        """Every vertex's sorted curve ids, in the order vertex_labels builds
-        their labels: the apex, the bounces by side (bottom first), rank and
-        ray, the ideal points, then the crossings by segment pair and wedge.
+    def _vertex_groups(self) -> Iterator[tuple[list[tuple[int, ...]], Iterable[VertexLabel]]]:
+        """Every vertex's curve ids, a group at a time, each group's records
+        with their labels, built only when read: the apex, the bounces by
+        side (bottom first), rank and ray, the ideal points, then the
+        crossings by segment pair and wedge.
 
-        The bounce vertex at (ray, rank) holds the mirror through the ray
-        and, for every beam bouncing at that (side, rank), the copies
-        meeting there from the two wedges the ray separates.  Mirror ids
-        sort before every copy id.  A crossing pair of segments lies in two
-        distinct beams, so its two copies differ.
+        Every record is built rising: mirror ids come before every copy id,
+        and each beam's m copy ids after the previous beam's.  The bounce
+        vertex at (ray, rank) holds the mirror through the ray and then,
+        for each beam bouncing at that (side, rank) in beam order, the
+        copies meeting there from the two wedges the ray separates: two,
+        rising, or one where a copy meets itself.  A crossing pair's first
+        segment lies in the lower beam, so its copy comes first.
 
         Any generation order gives the same vertex_labels: the structure
         sorts these records, and once it passes validation no two are equal,
         so the sort has no ties to break.
         """
         m, nw = self._m, self._nw
-        ids: list[tuple[int, ...]] = [tuple(range(m))]
+        yield [tuple(range(m))], starmap(Apex, [()])
         for side, parity in ((BOTTOM, 0), (TOP, 1)):
-            mirrors = [ray % m for ray in range(parity, nw, 2)]
+            rays = range(parity, nw, 2)
+            mirrors = [(ray % m,) for ray in rays]
             for rank in self._ranks[side]:
-                # For each beam, its copies on rays parity, parity + 2, ...
-                # and on the wedges just before those rays.
-                columns = []
+                records = mirrors
                 for bi, s in self._bouncing[side, rank]:
+                    # The copies in the wedges just after and just before
+                    # rays parity, parity + 2, ...
                     column = self._column(bi, s)
-                    columns.append(column[parity::2])
-                    columns.append(column[0::2] if parity else column[-1:] + column[1:-1:2])
-                if len(columns) == 2:
-                    ids.extend(
-                        (mi, a, b) if a < b else (mi, b, a) if b < a else (mi, a)
-                        for mi, a, b in zip(mirrors, *columns)
-                    )
-                else:
-                    ids.extend((mi, *sorted(set(copies))) for mi, *copies in zip(mirrors, *columns))
-        ids.extend((mi, *members, self._n - 1) for mi, members in enumerate(self._ideal_members))
+                    records = [
+                        record + ((a, b) if a < b else (b, a) if b < a else (a,))
+                        for record, a, b in zip(records, column[parity::2], (column[-1:] + column)[parity::2])
+                    ]
+                yield records, map(Bounce, rays, repeat(rank))
+        yield [(mi, *members, self._n - 1) for mi, members in enumerate(self._ideal_members)], map(Ideal, range(m))
         for b1, s1, b2, s2 in self._crossing_pairs:
-            ids.extend((a, b) if a < b else (b, a) for a, b in zip(self._column(b1, s1), self._column(b2, s2)))
-        return ids
+            yield list(zip(self._column(b1, s1), self._column(b2, s2))), map(Crossing, range(nw))
 
     def _orbit_starts(self) -> list[int]:
         """One curve id per orbit of the rotation by two wedge images, rising:
@@ -385,7 +380,7 @@ class ExpandedArrangement:
         rotation sends mirror i to i + 2 mod m and each copy entering at
         wedge 2i to the one entering at 2i + 2, and fixes the line at
         infinity; a copy's whole route moves two wedges on with its entry,
-        and every record _vertex_ids builds is indexed by ray or wedge, so
+        and every record _vertex_groups builds is indexed by ray or wedge, so
         it carries the records onto themselves."""
         return [*range(2 - self._m % 2), *(entered[0] for entered in self._entered), self._n - 1]
 
@@ -398,7 +393,7 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     segments of one beam interleave inside a wedge, NonClosingBeam when a
     pseudoline copy fails to close through a single ideal point (exactly
     when m does not divide 2t for a beam of t bounces), SizeLimitExceeded
-    when the beams close but m + 2m * (total bounces) exceeds the expansion
+    when the beams close but 6m + 2m * (total bounces) exceeds the expansion
     budget (see check_expansion_size), and ValidationFailed when the
     assembled structure is not a genuine alpha = 1 incidence structure.
 

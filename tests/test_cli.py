@@ -314,14 +314,46 @@ def test_oversized_expansion_refused_before_allocating(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["stats"], ["audit", "pairs"]])
+def test_beamless_wedge_size_counts_apex_and_ideal_records(tmp_path, argv):
+    """A beamless wedge builds no beam atoms, only the m-id apex record and
+    m ideal records, which the expansion size weighs at 6 units a mirror:
+    m = 9,999,999 ran out of a 1 GiB address space when only the m mirrors
+    were counted, and is now refused; the largest m admitted, 1,666,666,
+    exits 0.  Never run these inputs without the cap."""
+    refused, admitted = tmp_path / "refused.wedge", tmp_path / "admitted.wedge"
+    refused.write_text("wedge 1\nm 9999999\n")
+    admitted.write_text("wedge 1\nm 1666666\n")
+    result = run_capped([*argv, str(refused)])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: expansion needs 59999994 units (6 per mirror, 1 per beam atom), budget is 10000000;"
+        " raise ACCKIT_EXPAND_BUDGET to proceed\n"
+    )
+    result = run_capped([*argv, str(admitted)])
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_family_budget_edge():
+    """Family j = 372 (m = 2,234, size 9,994,916) is the largest the default
+    budget admits; j = 373 is refused."""
+    assert run_capped(["gen", "family", "--j", "372"]).returncode == 0
+    result = run_capped(["gen", "family", "--j", "373"])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: expansion needs 10048640 units")
+
+
 def test_expand_budget_from_env(capsys, monkeypatch):
-    # Family j = 1: m = 8 mirrors and 2 * 8 * 8 beam atoms.
+    # Family j = 1: m = 8 mirrors at 6 units each and 2 * 8 * 8 beam atoms.
     _, wedge_text, _ = run_cli(["gen", "family", "--j", "1"], capsys)
-    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "136")
+    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "176")
     assert run_cli(["audit", "pairs", "-"], capsys, wedge_text, monkeypatch)[:2] == (0, "CHECK pairs holds 300/300\n")
     assert run_cli(["gen", "family", "--j", "1"], capsys)[:2] == (0, wedge_text)
-    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "135")
-    refusal = "error: expansion needs 136 mirrors and beam atoms, budget is 135; raise ACCKIT_EXPAND_BUDGET to proceed\n"
+    monkeypatch.setenv("ACCKIT_EXPAND_BUDGET", "175")
+    refusal = (
+        "error: expansion needs 176 units (6 per mirror, 1 per beam atom), budget is 175;"
+        " raise ACCKIT_EXPAND_BUDGET to proceed\n"
+    )
     assert run_cli(["expand", "-"], capsys, wedge_text, monkeypatch) == (2, "", refusal)
     assert run_cli(["gen", "family", "--j", "1"], capsys) == (2, "", refusal)
     for value, fragment in (("x", "must be an integer, got 'x'"), ("0", "must be >= 1, got 0")):
@@ -647,6 +679,17 @@ def test_failed_expansion_message_counts_every_violation(tmp_path):
     path.write_text(crossing_wedge(400))
     result = run_capped(["expand", str(path)])
     expected = "error: expanded arrangement failed validation with 640800 violation(s)\n"
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", expected)
+
+
+def test_many_beams_at_one_bounce_point(tmp_path):
+    """2,000 one-bounce beams all at T1 of an m 2 wedge: every bounce
+    record holds a copy of each beam, built in beam order, and the
+    coincident copies give 3,998,000 PairMultiplicity violations."""
+    path = tmp_path / "shared.wedge"
+    path.write_text("wedge 1\nm 2\n" + "".join(f"beam b{i} T1\n" for i in range(2000)))
+    result = run_capped(["expand", str(path)])
+    expected = "error: expanded arrangement failed validation with 3998000 violation(s)\n"
     assert (result.returncode, result.stdout, result.stderr) == (1, "", expected)
 
 

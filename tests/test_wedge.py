@@ -2,7 +2,7 @@
 
 import hashlib
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 
 import pytest
@@ -30,10 +30,12 @@ from acckit import (
     compute_stats,
     expand,
     family_wedge,
+    parse_structure,
     serialize_structure,
     validate,
 )
 from acckit.cli import dispatch
+from acckit.structure import strictly_rising
 from acckit.wedge import BOTTOM, TOP
 
 
@@ -468,10 +470,16 @@ def beams_wedge(m, *beams):
 )
 @example(beams_wedge(12, "T1 B1 T2 B2 T3 B3", "T2 B2 T3 B3 T4 B4 T6 B5 T8 B8 T9 B9"))
 @example(beams_wedge(16, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5 T6 B6 T7 B7 T8 B8", "T4 B2 T5 B4 T6 B6 T7 B7"))
+# Three beams bouncing at T1, where each adds two copies to the record in
+# beam order (an invalid expansion), and a valid one where b0's copy meets
+# itself at its terminal bounce T2, which b1 shares.
+@example(beams_wedge(4, "T1 B1", "T1 B2", "T1 B3"))
+@example(beams_wedge(6, "T1 B1 T2", "T2 B2 T3"))
 def test_expansion_matches_reference_on_wider_wedges(spec):
     """Wrap-around with t > m, closure decided in beam order, and chords of
     different beams sharing an end; the examples past m = 9 cover both
-    closures, 2t = m and 2t = 2m (mod 2m), with crossing beams."""
+    closures, 2t = m and 2t = 2m (mod 2m), with crossing beams, and the last
+    two bounce points shared by several beams."""
     _compare_with_reference(spec)
 
 
@@ -482,7 +490,7 @@ def test_family_expansion_matches_reference(j):
 
 def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch, tmp_path):
     """The CLI reads only curve ids, so it must not build vertex or line
-    labels."""
+    labels, though the vertex groups it walks carry them."""
     path = tmp_path / "j2.wedge"
     assert dispatch(["gen", "family", "--j", "2", "--out", str(path)]) == 0
     commands = (["audit", "pairs", str(path)], ["expand", str(path)])
@@ -494,7 +502,7 @@ def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("label built")
 
-    for name in ("Bounce", "Crossing", "Mirror", "BeamCopy", "LineAtInfinity"):
+    for name in ("Apex", "Bounce", "Crossing", "Ideal", "Mirror", "BeamCopy", "LineAtInfinity"):
         monkeypatch.setattr(acckit.wedge, name, refuse)
     for argv, before in zip(commands, expected):
         assert dispatch(argv) == 0
@@ -622,3 +630,50 @@ def test_trusted_and_checked_constructors_agree(j):
     assert IncidenceStructure.trusted(1, s.n, iter(s.vertices)) == checked
     assert type(s.vertices) is tuple
 
+
+
+def trusted_records(build):
+    """Call build(), which may raise an ExpansionError, and return the
+    (n, records) of every call it makes to IncidenceStructure.trusted."""
+    calls = []
+    real_trusted = IncidenceStructure.trusted
+
+    def recording(alpha, n, vertices, representatives=()):
+        vertices = list(vertices)
+        calls.append((n, vertices))
+        return real_trusted(alpha, n, vertices, representatives)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncidenceStructure, "trusted", staticmethod(recording))
+        _expansion_outcome(build)
+    return calls
+
+
+def assert_trusted_records_hold(calls):
+    """What IncidenceStructure.trusted takes on trust: each record a
+    strictly rising tuple of two or more int ids within 0..n-1."""
+    for n, records in calls:
+        assert all(type(record) is tuple and len(record) >= 2 for record in records)
+        assert set(map(type, chain.from_iterable(records))) <= {int}
+        assert strictly_rising(records)
+        assert all(0 <= record[0] and record[-1] < n for record in records)
+
+
+@pytest.mark.parametrize("j", range(1, 17))
+def test_trusted_records_are_rising_in_family(j):
+    """The expansion's records and both .acc readers' (the canonical bulk
+    pass and, on text with a comment line, the per-line reader)."""
+    calls = trusted_records(lambda: expand(family_wedge(j)))
+    text = serialize_structure(IncidenceStructure(1, calls[0][0], calls[0][1]))
+    calls += trusted_records(lambda: parse_structure(text))
+    calls += trusted_records(lambda: parse_structure("# family\n" + text))
+    assert len(calls) == 3 and calls[0] == calls[1] == calls[2]
+    assert_trusted_records_hold(calls)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(small_wedges(max_m=9, max_beams=3, max_bounces=9))
+@example(beams_wedge(4, "T1 B1", "T1 B2", "T1 B3"))
+@example(beams_wedge(6, "T1 B1 T2", "T2 B2 T3"))
+def test_trusted_records_are_rising_in_expansions(spec):
+    assert_trusted_records_hold(trusted_records(lambda: expand(spec)))
