@@ -3,8 +3,9 @@ finite planes, and rendering, wired for shell pipelines.
 
 Subcommands that read an IN argument accept "-" for standard input.  The
 structure-consuming commands (validate, stats, audit) detect the input
-format from its header: a .wedge input is expanded on the fly, so
-"acckit gen family --j 1 | acckit stats" works directly.
+format from its header, so "acckit gen family --j 1 | acckit stats" works
+directly; audit dirac and dichotomy expand a .wedge, the others read it on
+its rotation quotient.
 
 Exit codes: 0 when everything requested holds, 1 when a check fails or a
 structure is invalid, 2 for usage or input errors and unwritable output.
@@ -22,7 +23,7 @@ from . import formats
 from .family import family_wedge, gen_near_pencil, gen_pencil, gen_simple_cyclic
 from .limits import SizeLimitExceeded
 from .plane import pg2, sample_lines, structure_from_lines
-from .structure import ExpansionError, IncidenceStructure, InvalidStructureError, compute_stats, validate
+from .structure import ExpansionError, InvalidStructureError, Stats, compute_stats, validate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,11 +59,16 @@ def _read_input(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _detect_structure(text: str) -> IncidenceStructure:
-    """Parse .acc directly; expand .wedge input on the fly."""
+def _census(text: str) -> tuple[int, int, Stats]:
+    """alpha, n and Stats of a valid structure; a .wedge is read on its
+    rotation quotient (ExpandedArrangement.stats), without its records."""
     if formats.sniff_format(text) == "wedge":
-        return expand(formats.parse_wedge(text)).structure
-    return formats.parse_structure(text)
+        from .wedge import ExpandedArrangement
+
+        arrangement = ExpandedArrangement(formats.parse_wedge(text))
+        return 1, arrangement.n, arrangement.stats
+    s = formats.parse_structure(text)
+    return s.alpha, s.n, compute_stats(s)
 
 
 def _emit(out_path: str | None, text: str):
@@ -171,7 +177,11 @@ def _cmd_gen(args) -> tuple[int, str]:
 
 
 def _cmd_validate(args) -> tuple[int, str]:
-    s = _detect_structure(_read_input(args.input))
+    text = _read_input(args.input)
+    if formats.sniff_format(text) == "wedge":
+        _, n, stats = _census(text)
+        return EXIT_OK, f"valid alpha=1 n={n} vertices={sum(stats.tk.values())}\n"
+    s = formats.parse_structure(text)
     report = validate(s)
     lines = []
     if report.valid:
@@ -190,20 +200,20 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 
 def _cmd_stats(args) -> tuple[int, str]:
-    s = _detect_structure(_read_input(args.input))
-    stats = compute_stats(s)
+    alpha, n, stats = _census(_read_input(args.input))
+    vertices = sum(stats.tk.values())
     lines = []
     if args.format == "machine":
-        lines.append(f"STAT alpha {s.alpha}")
-        lines.append(f"STAT n {s.n}")
-        lines.append(f"STAT vertices {len(s.vertices)}")
+        lines.append(f"STAT alpha {alpha}")
+        lines.append(f"STAT n {n}")
+        lines.append(f"STAT vertices {vertices}")
         lines.append(f"STAT r {stats.r}")
         for k, count in stats.tk.items():
             lines.append(f"TK {k} {count}")
         for d, count in stats.ld.items():
             lines.append(f"LD {d} {count}")
     else:
-        lines.append(f"alpha = {s.alpha}, n = {s.n}, vertices = {len(s.vertices)}")
+        lines.append(f"alpha = {alpha}, n = {n}, vertices = {vertices}")
         lines.append(f"max curve degree r = {stats.r}")
         lines.append("t_k (vertices of degree k): " + ", ".join(f"t_{k}={c}" for k, c in stats.tk.items()))
         lines.append("l_d (pairs with min common-vertex degree d): " + ", ".join(f"l_{d}={c}" for d, c in stats.ld.items()))
@@ -239,17 +249,23 @@ def _cmd_audit(args) -> tuple[int, str]:
     if args.audit != "pairs":
         from . import audits
 
-    s = _detect_structure(_read_input(args.input))
+    text = _read_input(args.input)
+    if args.audit not in ("dirac", "dichotomy"):
+        alpha, n, stats = _census(text)
+    elif formats.sniff_format(text) == "wedge":
+        s = expand(formats.parse_wedge(text)).structure
+    else:
+        s = formats.parse_structure(text)
     lines: list[str] = []
     failed = False
 
     if args.audit == "pairs":
         # Each of the C(n, 2) curve pairs has one least common-vertex degree.
-        observed, expected = compute_stats(s).ld_total(), math.comb(s.n, 2)
+        observed, expected = stats.ld_total(), math.comb(n, 2)
         failed |= _check(lines, "pairs", observed == expected, f"{observed}/{expected}")
 
     elif args.audit == "thm3":
-        report = audits.audit_tk_bounds(compute_stats(s), s.alpha, s.n)
+        report = audits.audit_tk_bounds(stats, alpha, n)
         for entry in report.entries:
             if entry.tk == 0:
                 continue
@@ -277,16 +293,15 @@ def _cmd_audit(args) -> tuple[int, str]:
                 lines.append(f"NOTE dirac g={report.g} h={report.h} witness={witness}")
 
     elif args.audit == "dyadic":
-        stats = compute_stats(s)
         params = audits.DyadicProfileParams(gamma=args.gamma, v=args.v)
-        report = audits.dyadic_profile(stats, params, s.n)
+        report = audits.dyadic_profile(stats, params, n)
         if not args.quiet:
             lines.append(f"NOTE dyadic window {_printable_lower(report)} {report.upper}")
             lines.append(f"NOTE dyadic empty {'true' if report.empty_window else 'false'}")
             lines.append(f"NOTE dyadic below {report.below}")
             lines.append(f"NOTE dyadic inside {report.inside}")
             lines.append(f"NOTE dyadic above {report.above}")
-        expected = math.comb(s.n, 2)
+        expected = math.comb(n, 2)
         failed |= _check(lines, "dyadic.total", report.total == expected, f"{report.total}/{expected}")
 
     elif args.audit == "dichotomy":

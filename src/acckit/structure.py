@@ -66,7 +66,7 @@ class IncidenceStructure:
         object.__setattr__(self, "vertices", tuple(normalized))
 
     @classmethod
-    def trusted(cls, alpha: int, n: int, vertices: Iterable[tuple[int, ...]], representatives=()) -> "IncidenceStructure":
+    def trusted(cls, alpha: int, n: int, vertices: Iterable[tuple[int, ...]], report=None) -> "IncidenceStructure":
         """A structure over records built as rising tuples of int ids within
         0..n-1, with alpha >= 1 and n >= 0, kept without any check.
 
@@ -75,25 +75,15 @@ class IncidenceStructure:
         parse_structure.  The result equals what the constructor gives for
         the same records; anything else goes through the constructor.
 
-        representatives, for alpha = 1, are curve ids that the caller
-        promises meet every orbit of some permutation of the curve ids that
-        maps the multiset of records onto itself, such as one curve per
-        rotation orbit of a wedge expansion; pair multiplicity is then
-        constant along those orbits, so when every record holds two or more
-        ids and each of their rows meets every other curve exactly once,
-        the structure is valid and keeps that report for validate.
-        Otherwise, and at any other alpha, validate runs its full pass.
-        Only the records on those rows are sized: a record holds some curve,
-        so some power of the permutation carries it onto a record of the
-        same size on that curve's representative's row.
+        report, when given, is the ValidationReport the caller has proven
+        for these records, as the expansion proves validity on its rotation
+        quotient; validate returns it without a pass.
         """
         s = object.__new__(cls)
         object.__setattr__(s, "alpha", alpha)
         object.__setattr__(s, "n", n)
         object.__setattr__(s, "vertices", tuple(vertices))
-        rows = set(representatives)
-        if alpha == 1 and rows and _orbit_rows_meet_once(s, rows):
-            object.__setattr__(s, "_report", ValidationReport(valid=True, violations=()))
+        object.__setattr__(s, "_report", report)
         return s
 
 
@@ -233,22 +223,11 @@ def validate(s: IncidenceStructure) -> ValidationReport:
     return report
 
 
-def _meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
+def meets_each_once(records: list[tuple[int, ...]], n: int) -> bool:
     """The records on a curve hold sum(|v| - 1) = n - 1 other ids and all n
     ids between them, so the curve meets every other curve exactly once on
     them."""
     return sum(map(len, records)) - len(records) == n - 1 and len(set(chain.from_iterable(records))) == n
-
-
-def _orbit_rows_meet_once(s: IncidenceStructure, rows: set[int]) -> bool:
-    """For alpha = 1 (see IncidenceStructure.trusted): every record on the
-    rows holds two or more ids and the row of each curve in rows meets every
-    other once."""
-    on_rows = [vertex for vertex in s.vertices if not rows.isdisjoint(vertex)]
-    if min(map(len, on_rows), default=0) < 2:
-        return False
-    on = _records_by_curve(on_rows)
-    return all(_meets_each_once(on.get(i, []), s.n) for i in rows)
 
 
 def _records_by_curve(vertices: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
@@ -285,7 +264,7 @@ def _full_report(s: IncidenceStructure) -> ValidationReport:
     for i in sorted(on):
         records = on[i]
         other = [vertex for vertex in records if len(vertex) < n] if full else records
-        if d == 0 and not other or d == 1 and _meets_each_once(other, n):
+        if d == 0 and not other or d == 1 and meets_each_once(other, n):
             continue
         row = Counter(chain.from_iterable(records))
         if list(row.values()).count(alpha) - (row[i] == alpha) == n - 1:
@@ -378,35 +357,41 @@ def compute_stats(s: IncidenceStructure) -> Stats:
 
     Rejects invalid structures with :class:`InvalidStructureError`.  By
     validate's rule the F = t_n full records add F to every pair.  When
-    alpha - F <= 1, every pair lies in at most one other vertex, of degree
-    d < n and so the minimum, and l_d has the closed form t_d * C(d, 2) over
-    d < n; for the pencil (alpha = F) the full record is every pair's only
-    vertex, C(n, 2) at d = n.  Otherwise each curve walks its vertices in
-    rising degree and credits every curve it has not met yet to the degree
-    of the vertex where they first meet, the least degree over that pair's
-    vertices; it stops once it has met all n curves.  Each pair is credited
-    once from each of its two curves, so the totals are halved.
+    alpha - F <= 1, l_d has the closed form of census_stats.  Otherwise
+    each curve walks its vertices in rising degree and credits every curve
+    it has not met yet to the degree of the vertex where they first meet,
+    the least degree over that pair's vertices; it stops once it has met
+    all n curves.  Each pair is credited once from each of its two curves,
+    so the totals are halved.
     """
     report = validate(s)
     if not report.valid:
         raise InvalidStructureError(report)
 
-    incidences = Counter(chain.from_iterable(s.vertices))
+    r = max(Counter(chain.from_iterable(s.vertices)).values())
     tk: Counter[int] = Counter(map(len, s.vertices))
-
     if s.alpha - tk[s.n] <= 1:
-        ld = {d: count * math.comb(d, 2) for d, count in tk.items() if d < s.n or s.alpha == tk[s.n]}
-    else:
-        on = _records_by_curve(sorted(s.vertices, key=len))
-        twice: Counter[int] = Counter()
-        for cid, records in on.items():
-            met = {cid}
-            for vertex in records:
-                before = len(met)
-                met.update(vertex)
-                twice[len(vertex)] += len(met) - before
-                if len(met) == s.n:
-                    break
-        ld = {d: count // 2 for d, count in twice.items() if count}
+        return census_stats(tk, r, s.n, s.alpha)
 
-    return Stats(tk=dict(sorted(tk.items())), r=max(incidences.values()), ld=dict(sorted(ld.items())))
+    on = _records_by_curve(sorted(s.vertices, key=len))
+    twice: Counter[int] = Counter()
+    for cid, records in on.items():
+        met = {cid}
+        for vertex in records:
+            before = len(met)
+            met.update(vertex)
+            twice[len(vertex)] += len(met) - before
+            if len(met) == s.n:
+                break
+    ld = {d: count // 2 for d, count in twice.items() if count}
+    return Stats(tk=dict(sorted(tk.items())), r=r, ld=dict(sorted(ld.items())))
+
+
+def census_stats(tk: Counter[int], r: int, n: int, alpha: int = 1) -> Stats:
+    """The Stats of a valid structure with degree counts tk, maximum curve
+    degree r and alpha - t_n <= 1.  Every pair then lies in at most one
+    record other than the full ones, of degree d < n and so the minimum,
+    and l_d = t_d * C(d, 2) over d < n; for the pencil (alpha = t_n) the
+    full record is every pair's only vertex, C(n, 2) at d = n."""
+    ld = {d: count * math.comb(d, 2) for d, count in tk.items() if d < n or alpha == tk[n]}
+    return Stats(tk=dict(sorted(tk.items())), r=r, ld=dict(sorted(ld.items())))

@@ -16,13 +16,14 @@ and opposite rays r and r+m form the full mirror line r mod m.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat, starmap
 from typing import Iterable, Iterator
 
 from .limits import check_size
-from .structure import ExpansionError, IncidenceStructure, ValidationReport, validate
+from .structure import ExpansionError, IncidenceStructure, Stats, ValidationReport, census_stats, meets_each_once, validate
 
 TOP = "T"
 BOTTOM = "B"
@@ -184,12 +185,17 @@ class ExpandedArrangement:
     """A wedge's dihedral expansion: the incidence structure plus provenance
     labels.
 
-    line_labels[i] describes curve id i; vertex_labels[j] describes
-    structure.vertices[j].  paths holds every beam copy's boundary
-    traversal in curve id order, for the renderer.  The constructor builds
-    only the copy routes and the crossings, and raises what expand raises
-    before assembly; structure, line_labels, vertex_labels and paths are
-    built on first read and then kept, and only structure validates.
+    n is the curve count.  line_labels[i] describes curve id i;
+    vertex_labels[j] describes structure.vertices[j].  paths holds every
+    beam copy's boundary traversal in curve id order, for the renderer.  The
+    constructor builds only the copy routes and the crossings, and raises
+    what expand raises before assembly; structure, the labels, paths and
+    the quotient's Stats are built on first read and then kept.
+
+    The quotient under the rotation by two wedge images builds no record:
+    orbits() lists one record per orbit with the orbit's length, and valid
+    and stats give validate's verdict and compute_stats(structure).  Only
+    structure builds every record.
 
     A beam's bounces alternate sides from the top edge, so every bounce
     carries a copy one wedge image on: from even wedge w a top bounce
@@ -217,40 +223,139 @@ class ExpandedArrangement:
         self._m = m = spec.m
         self._nw = nw = 2 * m
         self._entered: list[list[int]] = []
-        self._ideal_members: list[list[int]] = [[] for _ in range(m)]
         # The (beam, segment) pairs bouncing at each (side, rank).
         self._bouncing: dict[tuple[str, int], list[tuple[int, int]]] = {}
         next_id = m
         for bi, beam in enumerate(spec.beams):
-            # The copy entering at wedge 2i enters again at 2i + back, and
-            # both its ends lie on mirror 2i mod m.
+            # The copy entering at wedge 2i enters again at 2i + back.
             back = 2 * len(beam.events) - 1
             entered = [0] * m
             for copy, i in enumerate(sorted(range(m), key=lambda i: min(2 * i, (2 * i + back) % nw)), next_id):
                 entered[i] = copy
-                self._ideal_members[2 * i % m].append(copy)
             self._entered.append(entered)
             next_id += m
             for s, event in enumerate(beam.events):
                 self._bouncing.setdefault(event.key, []).append((bi, s))
         self._ranks = {side: sorted(rank for on, rank in self._bouncing if on == side) for side in (TOP, BOTTOM)}
         # The line at infinity is the last curve, n - 1.
-        self._n = next_id + 1
+        self.n = next_id + 1
         self._crossing_pairs = self._find_crossings()
 
     @cached_property
     def structure(self) -> IncidenceStructure:
-        """The alpha = 1 structure, built and validated on first read.
-        Raises ValidationFailed, on every read, when it is not valid."""
-        # Every record is a rising tuple of two or more ids within 0..n-1 by
-        # construction (see _vertex_groups), and _orbit_starts() meets every
-        # orbit of a rotation that carries the records onto themselves.
+        """The alpha = 1 structure, built on first read.  Its validity is
+        the quotient's (see valid), and only an invalid one runs validate's
+        full pass, for the report.  Raises ValidationFailed, on every read,
+        when it is not valid."""
+        proven = ValidationReport(valid=True, violations=()) if self.valid else None
         records = sorted(chain.from_iterable(group for group, _ in self._vertex_groups()))
-        structure = IncidenceStructure.trusted(1, self._n, records, self._orbit_starts())
+        structure = IncidenceStructure.trusted(1, self.n, records, proven)
         report = validate(structure)
         if not report.valid:
             raise ValidationFailed(report)
         return structure
+
+    @property
+    def valid(self) -> bool:
+        """Whether structure is valid, decided on the quotient (_quotient_stats)."""
+        return self._quotient_stats is not None
+
+    @property
+    def stats(self) -> Stats:
+        """compute_stats(structure), read on the quotient (_quotient_stats).
+        Raises ValidationFailed, building structure for its report, when the
+        structure is not valid."""
+        if self._quotient_stats is None:
+            self.structure  # raises ValidationFailed
+        return self._quotient_stats
+
+    @cached_property
+    def _quotient_stats(self) -> Stats | None:
+        """The Stats of structure from its orbits alone, or None when it is
+        not valid.  It is valid when every orbit's record holds two or more
+        ids and each cycle's first curve meets every other curve once on
+        its row: the rotation keeps record sizes and carries rows onto rows
+        and every curve onto some cycle's first.  The records' pair count,
+        C(n, 2) when every pair meets once, refuses most invalid ones before
+        any row is built.  Then t_k sums the orbit lengths by record size,
+        r is the longest row and l_d follows from t_k (census_stats)."""
+        orbits, n = self.orbits(), self.n
+        if min(len(record) for record, _ in orbits) < 2:
+            return None
+        if sum(length * len(record) * (len(record) - 1) // 2 for record, length in orbits) != n * (n - 1) // 2:
+            return None
+        rows = self._rows(orbits)
+        if not all(meets_each_once(row, n) for row in rows):
+            return None
+        tk: Counter[int] = Counter()
+        for record, length in orbits:
+            tk[len(record)] += length
+        return census_stats(tk, max(map(len, rows)), n)
+
+    def orbits(self) -> list[tuple[tuple[int, ...], int]]:
+        """Every record orbit under the rotation by two wedge images (see
+        _cycles), as a representative record, built as _vertex_groups
+        builds it, and the orbit's length: the apex (1); each bounce point's
+        record at ray 0 or 1 (m); the ideal records of mirror 0 and, when m
+        is even, mirror 1 (m / 2 each, or one orbit of m); and each crossing
+        pair's records in wedges 0 and 1 (m each).  The lengths sum to the
+        vertex count."""
+        m, copy = self._m, self._copy
+        orbits = [(tuple(range(m)), 1)]
+        for side, ray in ((BOTTOM, 0), (TOP, 1)):
+            for rank in self._ranks[side]:
+                record: tuple[int, ...] = (ray,)
+                for bi, s in self._bouncing[side, rank]:
+                    a, b = copy(bi, s, ray), copy(bi, s, ray - 1)
+                    record += (a, b) if a < b else (b, a) if b < a else (a,)
+                orbits.append((record, m))
+        # Even m splits the mirrors, and so the ideal points, into two orbits.
+        split = 2 - m % 2
+        orbits += [(self._ideal(mi), m // split) for mi in range(split)]
+        orbits += [((copy(b1, s1, w), copy(b2, s2, w)), m) for b1, s1, b2, s2 in self._crossing_pairs for w in (0, 1)]
+        return orbits
+
+    def _cycles(self) -> list[list[int]]:
+        """The rotation's cycles, each in the order the rotation moves its
+        ids, so that its k-th power moves every id k places on: mirror i
+        goes to i + 2 mod m, the copy _entered[b][i] to _entered[b][i + 1]
+        and the line at infinity stays.  A copy's route moves two wedges on
+        with its entry, and every record is indexed by ray, wedge or mirror,
+        so the rotation carries the records onto themselves.  Each cycle
+        starts at its least id."""
+        m = self._m
+        mirrors = [list(range(0, m, 2)), list(range(1, m, 2))] if m % 2 == 0 else [[2 * i % m for i in range(m)]]
+        return [*mirrors, *self._entered, [self.n - 1]]
+
+    def _rows(self, orbits: list[tuple[tuple[int, ...], int]]) -> list[list[tuple[int, ...]]]:
+        """The records on each cycle's first curve c, in _cycles order: for
+        each orbit (R, L), the images of R under the rotation's k-th powers,
+        0 <= k < L, that hold c.  An id at place p of a cycle of length P
+        reaches c exactly when k = -p (mod P), so a record the rotation
+        fixes (L = 1: the apex) lies on the rows of the cycle starts it
+        holds, and only the other records' ids need their places."""
+        cycles = self._cycles()
+        rows: dict[int, list[tuple[int, ...]]] = {cycle[0]: [] for cycle in cycles}
+        moved = [(record, length) for record, length in orbits if length > 1]
+        for record in (record for record, length in orbits if length == 1):
+            for start in rows.keys() & set(record):
+                rows[start].append(record)
+        ids = set(chain.from_iterable(record for record, _ in moved))
+        place = {cid: (cycle, p) for cycle in cycles for p, cid in enumerate(cycle) if cid in ids}
+        for record, length in moved:
+            places = [place[cid] for cid in record]
+            for cycle, p in places:
+                powers = range(-p % len(cycle), length, len(cycle))
+                if len(powers) > len(record):
+                    # More powers than ids (the line at infinity takes every
+                    # power): each id's images under them, zipped into records.
+                    images = ([image[(q + k) % len(image)] for k in powers] for image, q in places)
+                    rows[cycle[0]].extend(zip(*images))
+                else:
+                    for k in powers:
+                        # The rotation's 0th power is the identity.
+                        rows[cycle[0]].append(tuple(image[(q + k) % len(image)] for image, q in places) if k else record)
+        return list(rows.values())
 
     @cached_property
     def line_labels(self) -> tuple[LineLabel, ...]:
@@ -335,6 +440,20 @@ class ExpandedArrangement:
         column[1 - s % 2 :: 2] = entered[back:] + entered[:back]
         return column
 
+    def _copy(self, bi: int, s: int, w: int) -> int:
+        """_column(bi, s)[w] alone: the copy entering at wedge 2i with
+        i = (w - s) / 2 when that is whole, else i = (w + s + 1) / 2 - t."""
+        t = len(self._spec.beams[bi].events)
+        return self._entered[bi][((w - s) // 2 if (w - s) % 2 == 0 else (w + s + 1) // 2 - t) % self._m]
+
+    def _ideal(self, mi: int) -> tuple[int, ...]:
+        """Mirror mi's ideal record: mi, the copies whose both ends lie on
+        it, rising (each beam's copy entering at wedge 2i with
+        2i = mi mod m), and the line at infinity."""
+        m = self._m
+        copies = sorted(entered[e // 2] for entered in self._entered for e in (mi, mi + m) if e % 2 == 0)
+        return (mi, *copies, self.n - 1)
+
     def _vertex_groups(self) -> Iterator[tuple[list[tuple[int, ...]], Iterable[VertexLabel]]]:
         """Every vertex's curve ids, a group at a time, each group's records
         with their labels, built only when read: the apex, the bounces by
@@ -369,20 +488,9 @@ class ExpandedArrangement:
                         for record, a, b in zip(records, column[parity::2], (column[-1:] + column)[parity::2])
                     ]
                 yield records, map(Bounce, rays, repeat(rank))
-        yield [(mi, *members, self._n - 1) for mi, members in enumerate(self._ideal_members)], map(Ideal, range(m))
+        yield list(map(self._ideal, range(m))), map(Ideal, range(m))
         for b1, s1, b2, s2 in self._crossing_pairs:
             yield list(zip(self._column(b1, s1), self._column(b2, s2))), map(Crossing, range(nw))
-
-    def _orbit_starts(self) -> list[int]:
-        """One curve id per orbit of the rotation by two wedge images, rising:
-        mirror 0, mirror 1 when m is even, each beam's copy entering at
-        wedge 0 (the least of its m ids) and the line at infinity.  The
-        rotation sends mirror i to i + 2 mod m and each copy entering at
-        wedge 2i to the one entering at 2i + 2, and fixes the line at
-        infinity; a copy's whole route moves two wedges on with its entry,
-        and every record _vertex_groups builds is indexed by ray or wedge, so
-        it carries the records onto themselves."""
-        return [*range(2 - self._m % 2), *(entered[0] for entered in self._entered), self._n - 1]
 
 
 def expand(spec: WedgeSpec) -> ExpandedArrangement:
@@ -397,10 +505,11 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     budget (see check_expansion_size), and ValidationFailed when the
     assembled structure is not a genuine alpha = 1 incidence structure.
 
-    The expansion is symmetric under rotation by two wedge images, so
-    IncidenceStructure.trusted is given one curve per rotation orbit and
-    checks those rows instead of all n.  A failure runs validate's full
-    pass, so ValidationFailed carries the same report either way.
+    The expansion is symmetric under rotation by two wedge images, so its
+    validity is decided on the rotation quotient (ExpandedArrangement.valid)
+    and handed to IncidenceStructure.trusted as a proven report.  A failure
+    runs validate's full pass, so ValidationFailed carries the same report
+    either way.
     """
     arrangement = ExpandedArrangement(spec)
     arrangement.structure  # raises ValidationFailed

@@ -954,8 +954,9 @@ print(code, *sorted(name for name in sys.modules if name.split(".")[0] in ("acck
 def test_each_command_loads_only_its_modules(tmp_path):
     """`import acckit` loads no submodule, and each command loads only the
     modules it runs: .acc input never loads the expansion, audit pairs never
-    loads the audits, validate, stats, audit pairs and audit dirac on .acc
-    and rendering never load fractions, and nothing loads a network module."""
+    loads the audits, validate, stats, audit pairs and audit dirac on .acc,
+    validate, stats and audit pairs on .wedge and rendering never load
+    fractions, and nothing loads a network module."""
     acc, wedge = tmp_path / "j1.acc", tmp_path / "j1.wedge"
     wedge.write_text(serialize_wedge(family_wedge(1)))
     acc.write_text(serialize_structure(expand(family_wedge(1)).structure))
@@ -965,9 +966,10 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["validate", acc], BASE_MODULES, False),
         (["stats", acc], BASE_MODULES, False),
         (["audit", "pairs", acc], BASE_MODULES, False),
-        (["audit", "pairs", wedge], BASE_MODULES | {"acckit.wedge"}, True),
+        (["validate", wedge], BASE_MODULES | {"acckit.wedge"}, False),
+        (["audit", "pairs", wedge], BASE_MODULES | {"acckit.wedge"}, False),
         (["audit", "dirac", acc], BASE_MODULES | {"acckit.audits"}, False),
-        (["stats", wedge], BASE_MODULES | {"acckit.wedge"}, True),
+        (["stats", wedge], BASE_MODULES | {"acckit.wedge"}, False),
         (["gen", "pg2", "--p", "3", "--all"], BASE_MODULES, True),
         (["gen", "pencil", "--n", "4"], BASE_MODULES, True),
         (["gen", "family", "--j", "1"], BASE_MODULES | {"acckit.wedge"}, True),

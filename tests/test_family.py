@@ -3,6 +3,7 @@ insertion-based construction and the searches that derive it, the
 induction, and the fixture generators."""
 
 import math
+import resource
 from collections import Counter
 from itertools import permutations
 
@@ -26,6 +27,7 @@ from acckit import (
     validate,
 )
 from acckit.wedge import BOTTOM, TOP
+from conftest import run_capped
 from test_structure import curve_degrees
 
 
@@ -280,6 +282,31 @@ def test_family_sweep_exact_counts(j):
     assert kinds == family_census(j)
     assert stats.tk == census_tk(j)
     assert stats.ld == {d: count * math.comb(d, 2) for d, count in census_tk(j).items()}
+
+
+def test_largest_family_stats_and_pairs_under_the_cap():
+    """j = 372 is the largest family the default budget admits: 5,824,039
+    vertices.  stats and audit pairs read its .wedge on the rotation
+    quotient, so each exits 0 under the 1 GiB cap with the census in closed
+    form, using far less child CPU than the 15.1 s stats took when it built
+    every record.  Never run this input without the cap."""
+    j = 372
+    wedge = serialize_wedge(family_wedge(j))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    stats = run_capped(["stats", "-", "--format", "machine"], wedge)
+    pairs = run_capped(["audit", "pairs", "-"], wedge)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    for result in (stats, pairs):
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+    lines = stats.stdout.splitlines()
+    assert f"STAT vertices {42 * j**2 + 32 * j + 7}" in lines
+    assert "STAT r 2978" in lines and 8 * j + 2 == 2978
+    assert [line for line in lines if line.startswith("TK ")] == [f"TK {k} {count}" for k, count in census_tk(j).items()]
+    pairs_total = math.comb(18 * j + 7, 2)
+    assert pairs.stdout == f"CHECK pairs holds {pairs_total}/{pairs_total}\n"
+    child_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert child_s < 5.0
 
 
 @pytest.mark.parametrize("j", range(1, 9))

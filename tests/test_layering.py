@@ -3,8 +3,7 @@ module's underscore name, names an underscore name in a public
 signature, imports a name it never reads, or holds an assert statement;
 the package exports exactly its allowlist, only expansion and parsing
 build structures without the constructor's checks, only the expansion
-hands those a promise of orbit representatives, and only limits.py reads
-the environment."""
+hands those a proven report, and only limits.py reads the environment."""
 
 import ast
 import importlib
@@ -292,16 +291,17 @@ def test_only_expansion_and_parsing_build_trusted_structures():
     assert [name for name, _ in trusted_calls()] == ["formats.py", "wedge.py"]
 
 
-def test_only_expansion_promises_orbit_representatives():
+def test_only_expansion_hands_trusted_a_report():
     """A structure gets a report without validate's full pass in one place
-    only: trusted given the representatives of the expansion's rotation
-    orbits.  validate itself takes nothing but the structure."""
-    promising = [
+    only: trusted handed the report the expansion proved on its rotation
+    quotient.  validate itself takes nothing but the structure."""
+    handing = [
         name
         for name, call in trusted_calls()
-        if len(call.args) > 3 or any(keyword.arg in (None, "representatives") for keyword in call.keywords)
+        if len(call.args) > 3 or any(keyword.arg in (None, "report") for keyword in call.keywords)
     ]
-    assert promising == ["wedge.py"]
+    assert handing == ["wedge.py"]
+    assert list(inspect.signature(acckit.IncidenceStructure.trusted).parameters) == ["alpha", "n", "vertices", "report"]
     assert list(inspect.signature(acckit.validate).parameters) == ["s"]
 
 

@@ -30,6 +30,7 @@ from acckit import (
     structure_from_lines,
     validate,
 )
+from acckit.structure import meets_each_once
 
 
 def curve_degrees(s):
@@ -476,16 +477,18 @@ def test_validate_matches_seed_algorithm_on_fixtures(s):
 @given(messy_structures())
 def test_validate_with_identity_rotation_matches_seed_algorithm(s):
     """The identity is an automorphism of every structure, and each curve is
-    its own orbit, so with every curve as a representative the shortcut
-    checks every row; a valid report must then be right and anything else
-    must come from the full pass."""
-    assert_bounded_seed_report(validate(promised(s, range(s.n))), s)
+    its own orbit, so the orbit argument with every curve as a
+    representative is validate's own pass over every row: on a copy built
+    through trusted with no report, validate runs it and matches the seed
+    algorithm."""
+    trusted = IncidenceStructure.trusted(s.alpha, s.n, s.vertices)
+    assert trusted._report is None
+    assert_bounded_seed_report(validate(trusted), s)
 
 
-def promised(s, representatives):
-    """A fresh copy of s built through IncidenceStructure.trusted with the
-    promise that representatives meet every orbit of some automorphism."""
-    return IncidenceStructure.trusted(s.alpha, s.n, s.vertices, representatives)
+def orbit_rows(s, representatives):
+    """The records on each representative curve, in record order."""
+    return [[v for v in s.vertices if cid in v] for cid in representatives]
 
 
 def _cyclic(n, vertices):
@@ -510,25 +513,33 @@ def _cyclic(n, vertices):
     ],
 )
 def test_validate_with_cyclic_rotation_matches_seed_algorithm(n, base):
+    """validate matches the seed algorithm on structures closed under
+    i -> i + 1, and its verdict is the orbit argument's that the wedge
+    quotient rests on: every record holds two or more ids and the row of
+    curve 0, whose orbit is every curve, meets every other curve once."""
     s, representatives = _cyclic(n, base)
-    assert_bounded_seed_report(validate(promised(s, representatives)), s)
+    report = validate(IncidenceStructure.trusted(s.alpha, s.n, s.vertices))
+    assert_bounded_seed_report(report, s)
+    rows = orbit_rows(s, representatives)
+    assert report.valid == (min(map(len, s.vertices)) >= 2 and all(meets_each_once(row, n) for row in rows))
 
 
 def test_orbit_shortcut_reads_one_row_per_cycle(monkeypatch):
-    """Of the Fano plane's seven rows, one per orbit of i -> i + 1, only
-    row 0 is read, over the three lines through curve 0."""
-    s, representatives = _cyclic(7, [(0, 1, 3)])
+    """The expansion's rotation quotient reads, of family j = 1's 25 rows,
+    one per rotation cycle (mirrors 0 and 1, each beam's first copy and
+    the line at infinity), each equal to that curve's row in the built
+    records, and hands validate a proven report without the full pass."""
     rows = []
-    meets_each_once = acckit.structure._meets_each_once
 
     def counted(records, n):
-        rows.append(records)
+        rows.append(sorted(tuple(sorted(record)) for record in records))
         return meets_each_once(records, n)
 
     monkeypatch.setattr("acckit.structure._full_report", None)
-    monkeypatch.setattr("acckit.structure._meets_each_once", counted)
-    assert validate(promised(s, representatives)) == ValidationReport(valid=True, violations=())
-    assert rows == [[v for v in s.vertices if 0 in v]]
+    monkeypatch.setattr("acckit.wedge.meets_each_once", counted)
+    s = expand(family_wedge(1)).structure
+    assert validate(s) == ValidationReport(valid=True, violations=())
+    assert rows == orbit_rows(s, [0, 1, 8, 16, 24])
 
 
 def test_trusted_constructor_keeps_records():
@@ -773,12 +784,16 @@ def _off_broken_line(s):
     ],
 )
 def test_representatives_are_ignored_above_alpha_one(s, representatives):
-    """Representatives narrow the rows only for alpha = 1; at any other
-    alpha trusted keeps no report, and validate gives the one it gives
-    without them."""
-    trusted = promised(s, representatives)
-    assert trusted._report is None
-    assert validate(trusted) == validate(IncidenceStructure(s.alpha, s.n, s.vertices))
+    """The orbit argument decides validity at alpha = 1 only.  At any
+    other alpha validate gives the seed algorithm's report, and rows that
+    pass the alpha = 1 row test (row 0 of the cyclic Fano plane declared
+    alpha = 2 does) prove the structure invalid: their curve meets every
+    other curve once, not alpha times."""
+    report = validate(IncidenceStructure.trusted(s.alpha, s.n, s.vertices))
+    assert report == validate(IncidenceStructure(s.alpha, s.n, s.vertices))
+    assert_bounded_seed_report(report, s)
+    if any(meets_each_once(row, s.n) for row in orbit_rows(s, representatives)):
+        assert not report.valid
 
 
 @st.composite

@@ -518,7 +518,7 @@ def reference_rotation(expansion):
     built them: mirror i goes to mirror i + 2 mod m, each beam's copy
     entering at wedge 2i to the one entering at 2i + 2, and the line at
     infinity, the last curve, stays."""
-    m, n = expansion._m, expansion._n
+    m, n = expansion._m, expansion.n
     image = [(i + 2) % m for i in range(m)] + [n - 1] * (n - m)
     for entered in expansion._entered:
         for copy, rotated in zip(entered, entered[1:] + entered[:1]):
@@ -551,15 +551,15 @@ def cycles(permutation):
 
 
 def _expand_recording(spec):
-    """Expand spec; return the outcome, every (structure, representatives,
-    kept report) that expansion handed to and got from
-    IncidenceStructure.trusted, and how many full validation passes ran."""
+    """Expand spec; return the outcome, every (structure, handed report)
+    that expansion passed to IncidenceStructure.trusted, and how many full
+    validation passes ran."""
     calls, full = [], []
     real_trusted, real_full_report = IncidenceStructure.trusted, acckit.structure._full_report
 
-    def recording(alpha, n, vertices, representatives=()):
-        s = real_trusted(alpha, n, vertices, representatives)
-        calls.append((s, representatives, s._report))
+    def recording(alpha, n, vertices, report=None):
+        s = real_trusted(alpha, n, vertices, report)
+        calls.append((s, report))
         return s
 
     def counting(s):
@@ -573,34 +573,88 @@ def _expand_recording(spec):
     return outcome, calls, len(full)
 
 
+def all_records(arrangement):
+    """Every record of an expansion, sorted, built without validating."""
+    return sorted(chain.from_iterable(group for group, _ in arrangement._vertex_groups()))
+
+
+def check_quotient(arrangement, records):
+    """The quotient view against the materialised records, on a fresh
+    structure (so its report is the full pass's): the reference rotation
+    maps the records onto themselves, each of its cycles holds one rotation
+    cycle's first curve, the orbits' images under it are the records, each
+    such curve's row is the one the records give, and the verdict equals
+    validate's, and when valid, the vertex count and Stats equal the
+    materialised ones.  Returns that report."""
+    s = IncidenceStructure(1, arrangement.n, records)
+    rotation = reference_rotation(arrangement)
+    assert is_automorphism(s, rotation)
+    starts = [cycle[0] for cycle in arrangement._cycles()]
+    assert sorted(min(cycle) for cycle in cycles(rotation)) == starts
+    orbits = arrangement.orbits()
+    images = Counter()
+    for record, length in orbits:
+        image = record
+        for _ in range(length):
+            images[tuple(sorted(image))] += 1
+            image = tuple(rotation[cid] for cid in image)
+        assert sorted(image) == sorted(record)
+    assert images == Counter(records)
+    for start, row in zip(starts, arrangement._rows(orbits)):
+        assert sorted(tuple(sorted(record)) for record in row) == [record for record in records if start in record]
+    report = validate(s)
+    assert arrangement.valid == report.valid
+    if report.valid:
+        assert sum(length for _, length in orbits) == len(records)
+        assert arrangement.stats == compute_stats(s)
+        assert sum(arrangement.stats.tk.values()) == len(records)
+    return report
+
+
 def _check_orbit_validation(spec):
-    """The reference rotation maps the records expansion hands to trusted
-    onto themselves, and each of its cycles holds exactly one of the
-    representatives passed with them; trusted keeps a valid report exactly
-    when the structure is valid, the report validate ends with equals the
-    full pass on a fresh copy, and the full pass ran during expansion
-    exactly when the structure is invalid."""
+    """The quotient's verdict, vertex count and Stats against a full pass
+    on a fresh copy of the records (check_quotient); expansion hands
+    trusted the valid report exactly when the structure is valid, the
+    report validate ends with equals the full pass's, the full pass ran
+    during expansion exactly when the structure is invalid, and then stats
+    raises the ValidationFailed that expansion raises."""
     outcome, calls, full_passes = _expand_recording(spec)
     assert len(calls) <= 1
-    for s, representatives, kept in calls:
-        rotation = reference_rotation(ExpandedArrangement(spec))
-        assert is_automorphism(s, rotation)
-        assert [len(cycle.intersection(representatives)) for cycle in cycles(rotation)] == [1] * len(representatives)
-        report = validate(IncidenceStructure(1, s.n, list(s.vertices)))
+    for s, handed in calls:
+        arrangement = ExpandedArrangement(spec)
+        report = check_quotient(arrangement, all_records(arrangement))
+        if not report.valid:
+            with pytest.raises(ValidationFailed) as failed:
+                arrangement.stats
+            assert failed.value.report == report
+        assert list(s.vertices) == all_records(arrangement)
         assert s._report == report
-        assert kept == (report if report.valid else None)
+        assert handed == (report if report.valid else None)
         assert (outcome is s) == report.valid
-    assert full_passes == (len(calls) == 1 and calls[0][2] is None)
+    assert full_passes == (len(calls) == 1 and calls[0][1] is None)
     return calls
 
 
 @settings(derandomize=True, max_examples=400)
 @given(small_wedges(max_m=9, max_beams=3, max_bounces=9))
 # Even m with two crossing beams, one beam at odd m (an invalid expansion)
-# and no beam at odd m.
+# and no beam at odd m, then the examples of the wider-wedge reference test.
 @example(beams_wedge(10, "T3 B4 T5 B5 T6", "T1 B1 T2 B2 T3"))
 @example(beams_wedge(3, "T1 B1 T2"))
 @example(WedgeSpec(5))
+@example(beams_wedge(12, "T2 B3 T6 B5 T7 B7", "T1 B1 T2 B2 T3 B3"))
+@example(beams_wedge(16, "T3 B4 T5 B5 T7 B6 T8 B9", "T1 B1 T2 B2 T3 B3 T4 B4"))
+@example(beams_wedge(10, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5", "T2 B4 T4 B5 T6 B6 T7 B7 T8 B8"))
+@example(beams_wedge(13, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5 T6 B6 T7", "T2 B2 T3 B4 T5 B5 T6 B6 T7 B8 T8 B9 T10"))
+@example(
+    beams_wedge(
+        15, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5 T6 B6 T7 B7 T8", "T2 B2 T5 B3 T6 B6 T7 B7 T8 B8 T9 B9 T10 B10 T11"
+    )
+)
+@example(beams_wedge(12, "T1 B1 T2 B2 T3 B3", "T2 B2 T3 B3 T4 B4 T6 B5 T8 B8 T9 B9"))
+@example(beams_wedge(16, "T1 B1 T2 B2 T3 B3 T4 B4 T5 B5 T6 B6 T7 B7 T8 B8", "T4 B2 T5 B4 T6 B6 T7 B7"))
+@example(beams_wedge(4, "T1 B1", "T1 B2", "T1 B3"))
+@example(beams_wedge(6, "T1 B1 T2", "T2 B2 T3"))
 def test_orbit_validation_matches_full_validation(spec):
     _check_orbit_validation(spec)
 
@@ -608,9 +662,60 @@ def test_orbit_validation_matches_full_validation(spec):
 @pytest.mark.parametrize("j", [*range(1, 17), 32, 64])
 def test_family_orbit_validation_matches_full_validation(j):
     calls = _check_orbit_validation(family_wedge(j))
-    assert len(calls) == 1 and calls[0][2] is not None
+    assert len(calls) == 1 and calls[0][1] is not None
     # Mirrors 0 and 1, the first copy of each beam and the line at infinity.
-    assert calls[0][1] == [0, 1, 6 * j + 2, 12 * j + 4, 18 * j + 6]
+    starts = [cycle[0] for cycle in ExpandedArrangement(family_wedge(j))._cycles()]
+    assert starts == [0, 1, 6 * j + 2, 12 * j + 4, 18 * j + 6]
+
+
+def test_quotient_refuses_a_record_of_one_id():
+    """Every wedge record holds two or more ids, so only an orbit put in by
+    hand reaches the size check: the line at infinity alone, fixed by the
+    rotation, leaves every row meeting every other curve once, but the
+    full pass reports it as a small vertex."""
+    arrangement = ExpandedArrangement(family_wedge(1))
+    orbits = [*arrangement.orbits(), ((arrangement.n - 1,), 1)]
+    arrangement.orbits = lambda: orbits
+    assert all(acckit.structure.meets_each_once(row, arrangement.n) for row in arrangement._rows(orbits))
+    report = check_quotient(arrangement, sorted([*all_records(arrangement), (arrangement.n - 1,)]))
+    assert report.counts == {"SmallVertex": 1}
+
+
+def orbit_records(arrangement, orbits):
+    """The records the orbits stand for: each representative's images under
+    the reference rotation's first powers, up to its orbit's length."""
+    rotation = reference_rotation(arrangement)
+    records = []
+    for record, length in orbits:
+        for _ in range(length):
+            records.append(tuple(sorted(record)))
+            record = tuple(rotation[cid] for cid in record)
+    return sorted(records)
+
+
+def test_quotient_checks_the_rows_when_the_pair_count_holds():
+    """A crossing record moved onto another copy of its beam keeps every
+    orbit's length and the pair count at C(n, 2), so only the rows find the
+    pair now met twice and the one never met, as the full pass does."""
+    arrangement = ExpandedArrangement(family_wedge(1))
+    orbits = arrangement.orbits()
+    # The first crossing record: a red copy, then a blue one.
+    i, ((red, blue), length) = next((i, orbit) for i, orbit in enumerate(orbits) if orbit[0][0] >= arrangement._m)
+    blues = arrangement._entered[1]
+    orbits[i] = ((red, blues[1] if blue == blues[0] else blues[0]), length)
+    arrangement.orbits = lambda: orbits
+    report = check_quotient(arrangement, orbit_records(arrangement, orbits))
+    assert not report.valid and "PairMultiplicity" in report.counts
+
+
+def test_pair_count_refuses_before_any_row(monkeypatch):
+    """Coincident beams meet pairs twice, which the pair count alone shows."""
+
+    def refuse(self, orbits):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(ExpandedArrangement, "_rows", refuse)
+    assert not ExpandedArrangement(beams_wedge(4, "T1 B1", "T1 B1")).valid
 
 
 def test_valid_expansions_skip_the_full_pass():
@@ -638,10 +743,10 @@ def trusted_records(build):
     calls = []
     real_trusted = IncidenceStructure.trusted
 
-    def recording(alpha, n, vertices, representatives=()):
+    def recording(alpha, n, vertices, report=None):
         vertices = list(vertices)
         calls.append((n, vertices))
-        return real_trusted(alpha, n, vertices, representatives)
+        return real_trusted(alpha, n, vertices, report)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(IncidenceStructure, "trusted", staticmethod(recording))
