@@ -4,7 +4,8 @@ Geometry here is presentation only.  Bounce ranks are mapped to radii by
 r_k = 100 * (4/5)^k, so larger ranks (closer to the apex) get strictly
 smaller radii; the renderer checks that monotonicity before drawing and
 raises ValueError where floats cannot keep it.  The combinatorics is never
-touched: rendering reads a wedge, expands it when needed, and writes text.
+touched: rendering reads a wedge, checks an expansion's validity on its
+rotation quotient, and writes text.
 
 The style is fixed: a 640-unit canvas, mirrors in #333333, the line at
 infinity in #999999, beams named red and blue in #c0392b and #2f5fc0, and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .wedge import WedgeSpec, expand
+from .wedge import ExpandedArrangement, WedgeSpec
 
 _SIZE = 640
 _RADIUS_BASE = 100
@@ -103,7 +104,9 @@ def render_wedge(spec: WedgeSpec) -> str:
 def render_arrangement(spec: WedgeSpec) -> str:
     """The full expansion: every pseudoline as one polyline, the line at
     infinity as the bounding circle (drawn as a closed polyline)."""
-    arrangement = expand(spec)
+    arrangement = ExpandedArrangement(spec)
+    if not arrangement.valid:
+        arrangement.structure  # raises expand's ValidationFailed
     m = spec.m
     radii = _radii(spec)
 

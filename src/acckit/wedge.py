@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat, starmap
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Callable
 
 from .limits import check_size
 from .structure import ExpansionError, IncidenceStructure, Stats, ValidationReport, census_stats, meets_each_once, validate
@@ -195,7 +195,8 @@ class ExpandedArrangement:
     The quotient under the rotation by two wedge images builds no record:
     orbits() lists one record per orbit with the orbit's length, and valid
     and stats give validate's verdict and compute_stats(structure).  Only
-    structure builds every record.
+    structure and vertex_labels build every record, each as an image of
+    its orbit's record (_images).
 
     A beam's bounces alternate sides from the top edge, so every bounce
     carries a copy one wedge image on: from even wedge w a top bounce
@@ -205,8 +206,8 @@ class ExpandedArrangement:
     on the way back (mod 2m), meets rays e, e + 1, ..., e + 2t, and enters
     again at odd wedge e + 2t - 1.  So every beam has m copies, one per even
     entry wedge, numbered by their lower entry wedge; _entered[bi][i] is the
-    curve id of beam bi's copy entering at wedge 2i, and columns, paths and
-    the rotation are read from it only when asked for.
+    curve id of beam bi's copy entering at wedge 2i, and the records, paths
+    and the rotation are read from it only when asked for.
     """
 
     def __init__(self, spec: WedgeSpec):
@@ -248,7 +249,8 @@ class ExpandedArrangement:
         full pass, for the report.  Raises ValidationFailed, on every read,
         when it is not valid."""
         proven = ValidationReport(valid=True, violations=()) if self.valid else None
-        records = sorted(chain.from_iterable(group for group, _ in self._vertex_groups()))
+        records = self._images(self.orbits())
+        records.sort()
         structure = IncidenceStructure.trusted(1, self.n, records, proven)
         report = validate(structure)
         if not report.valid:
@@ -294,26 +296,69 @@ class ExpandedArrangement:
 
     def orbits(self) -> list[tuple[tuple[int, ...], int]]:
         """Every record orbit under the rotation by two wedge images (see
-        _cycles), as a representative record, built as _vertex_groups
-        builds it, and the orbit's length: the apex (1); each bounce point's
-        record at ray 0 or 1 (m); the ideal records of mirror 0 and, when m
-        is even, mirror 1 (m / 2 each, or one orbit of m); and each crossing
-        pair's records in wedges 0 and 1 (m each).  The lengths sum to the
-        vertex count."""
+        _cycles), as a representative record and the orbit's length: the
+        apex (1); each bounce point's record at ray 0 or 1 (m); the ideal
+        records of mirror 0 and, when m is even, mirror 1 (m / 2 each, or
+        one orbit of m); and each crossing pair's records in wedges 0 and 1
+        (m each).  The lengths sum to the vertex count."""
+        return [(record, length) for record, length, _ in self._labelled_orbits()]
+
+    def _labelled_orbits(self) -> list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]:
+        """orbits(), each with the label of its k-th image as a function of
+        k (the representative's ray, mirror or wedge moved 2k places on), so
+        that no label is built here.  Each record is built rising, as mirror
+        ids come first and each beam's copy ids after the previous beam's: a
+        bounce record holds the mirror through its ray, then in beam order
+        the copies meeting there from the two wedges beside the ray (two,
+        rising, or one where a copy meets itself); a crossing record holds
+        the lower beam's copy first."""
         m, copy = self._m, self._copy
-        orbits = [(tuple(range(m)), 1)]
+        orbits = [(tuple(range(m)), 1, lambda k: Apex())]
         for side, ray in ((BOTTOM, 0), (TOP, 1)):
             for rank in self._ranks[side]:
                 record: tuple[int, ...] = (ray,)
                 for bi, s in self._bouncing[side, rank]:
                     a, b = copy(bi, s, ray), copy(bi, s, ray - 1)
                     record += (a, b) if a < b else (b, a) if b < a else (a,)
-                orbits.append((record, m))
+                orbits.append((record, m, lambda k, ray=ray, rank=rank: Bounce(ray + 2 * k, rank)))
         # Even m splits the mirrors, and so the ideal points, into two orbits.
+        # Each beam's copies entering at wedge 0 (its least id) and, for even
+        # m, m have both ends on mirror 0, and then none has one on mirror 1.
         split = 2 - m % 2
-        orbits += [(self._ideal(mi), m // split) for mi in range(split)]
-        orbits += [((copy(b1, s1, w), copy(b2, s2, w)), m) for b1, s1, b2, s2 in self._crossing_pairs for w in (0, 1)]
+        copies = [entered[i] for entered in self._entered for i in range(0, m, m // split)]
+        ideals = [(0, *copies, self.n - 1), (1, self.n - 1)][:split]
+        orbits += [(record, m // split, lambda k, mi=mi: Ideal((mi + 2 * k) % m)) for mi, record in enumerate(ideals)]
+        for b1, s1, b2, s2 in self._crossing_pairs:
+            orbits += [((copy(b1, s1, w), copy(b2, s2, w)), m, lambda k, w=w: Crossing(w + 2 * k)) for w in (0, 1)]
         return orbits
+
+    def _images(self, orbits: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
+        """Every record: the images of each orbit's record (R, L) under
+        the rotation's k-th powers, 0 <= k < L, in orbit order, each rising.
+        The k-th power moves every id k places along its cycle (_places), so
+        each id's images are one slice of its cycle, and the slices zip into
+        the images.  Only two copies of one beam, next to each other (a
+        bounce or, for even m, an ideal pair), can swap; their columns are
+        ordered pairwise."""
+        place, images = self._places(orbits), []
+        for record, length in orbits:
+            if length == 1:
+                # The rotation's 0th power is the identity.
+                images.append(record)
+                continue
+            columns: list[list[int]] = []
+            last = None
+            for cid in record:
+                cycle, p = place[cid]
+                column = (cycle * -(-(p + length) // len(cycle)))[p : p + length]
+                if cycle is last:
+                    low = columns[-1]
+                    columns[-1] = [a if a < b else b for a, b in zip(low, column)]
+                    column = [b if a < b else a for a, b in zip(low, column)]
+                columns.append(column)
+                last = cycle
+            images += zip(*columns)
+        return images
 
     def _cycles(self) -> list[list[int]]:
         """The rotation's cycles, each in the order the rotation moves its
@@ -327,6 +372,12 @@ class ExpandedArrangement:
         mirrors = [list(range(0, m, 2)), list(range(1, m, 2))] if m % 2 == 0 else [[2 * i % m for i in range(m)]]
         return [*mirrors, *self._entered, [self.n - 1]]
 
+    def _places(self, orbits: list[tuple[tuple[int, ...], int]]) -> dict[int, tuple[list[int], int]]:
+        """The cycle (_cycles) and place on it of each id in the records
+        that the rotation moves (L > 1) in orbits: not the apex's m mirrors."""
+        ids = {cid for record, length in orbits if length > 1 for cid in record}
+        return {cid: (cycle, p) for cycle in self._cycles() for p, cid in enumerate(cycle) if cid in ids}
+
     def _rows(self, orbits: list[tuple[tuple[int, ...], int]]) -> list[list[tuple[int, ...]]]:
         """The records on each cycle's first curve c, in _cycles order: for
         each orbit (R, L), the images of R under the rotation's k-th powers,
@@ -334,15 +385,13 @@ class ExpandedArrangement:
         reaches c exactly when k = -p (mod P), so a record the rotation
         fixes (L = 1: the apex) lies on the rows of the cycle starts it
         holds, and only the other records' ids need their places."""
-        cycles = self._cycles()
-        rows: dict[int, list[tuple[int, ...]]] = {cycle[0]: [] for cycle in cycles}
-        moved = [(record, length) for record, length in orbits if length > 1]
-        for record in (record for record, length in orbits if length == 1):
-            for start in rows.keys() & set(record):
-                rows[start].append(record)
-        ids = set(chain.from_iterable(record for record, _ in moved))
-        place = {cid: (cycle, p) for cycle in cycles for p, cid in enumerate(cycle) if cid in ids}
-        for record, length in moved:
+        rows: dict[int, list[tuple[int, ...]]] = {cycle[0]: [] for cycle in self._cycles()}
+        place = self._places(orbits)
+        for record, length in orbits:
+            if length == 1:
+                for start in rows.keys() & set(record):
+                    rows[start].append(record)
+                continue
             places = [place[cid] for cid in record]
             for cycle, p in places:
                 powers = range(-p % len(cycle), length, len(cycle))
@@ -367,12 +416,12 @@ class ExpandedArrangement:
 
     @cached_property
     def vertex_labels(self) -> tuple[VertexLabel, ...]:
-        """Each vertex's label, in the sorted order of structure.vertices."""
-        ids: list[tuple[int, ...]] = []
-        labels: list[VertexLabel] = []
-        for records, group_labels in self._vertex_groups():
-            ids.extend(records)
-            labels.extend(group_labels)
+        """Each vertex's label, in the sorted order of structure.vertices:
+        each orbit's images (_images) with their labels (_labelled_orbits).
+        Any order of the images gives the same labels: once the structure
+        passes validation no two records are equal, so the sort has no ties."""
+        ids = self._images(self.orbits())
+        labels = [label(k) for _, length, label in self._labelled_orbits() for k in range(length)]
         return tuple(map(labels.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)))
 
     @cached_property
@@ -429,68 +478,12 @@ class ExpandedArrangement:
                 pairs.append((b1, s1, b2, s2))
         return pairs
 
-    def _column(self, bi: int, s: int) -> list[int]:
-        """Curve ids of beam bi's segment s in wedges 0..2m-1: in wedge
-        w = s + 2j the copy entering at 2j on its way out, in the others
-        the copy entering at w + s + 1 - 2t on its way back."""
-        entered, t = self._entered[bi], len(self._spec.beams[bi].events)
-        out, back = -(s // 2) % self._m, (s // 2 + 1 - t) % self._m
-        column = [0] * self._nw
-        column[s % 2 :: 2] = entered[out:] + entered[:out]
-        column[1 - s % 2 :: 2] = entered[back:] + entered[:back]
-        return column
-
     def _copy(self, bi: int, s: int, w: int) -> int:
-        """_column(bi, s)[w] alone: the copy entering at wedge 2i with
-        i = (w - s) / 2 when that is whole, else i = (w + s + 1) / 2 - t."""
+        """The curve id of beam bi's segment s in wedge w: the copy entering
+        at wedge 2i with i = (w - s) / 2 when that is whole (on its way
+        out), else i = (w + s + 1) / 2 - t (on its way back)."""
         t = len(self._spec.beams[bi].events)
         return self._entered[bi][((w - s) // 2 if (w - s) % 2 == 0 else (w + s + 1) // 2 - t) % self._m]
-
-    def _ideal(self, mi: int) -> tuple[int, ...]:
-        """Mirror mi's ideal record: mi, the copies whose both ends lie on
-        it, rising (each beam's copy entering at wedge 2i with
-        2i = mi mod m), and the line at infinity."""
-        m = self._m
-        copies = sorted(entered[e // 2] for entered in self._entered for e in (mi, mi + m) if e % 2 == 0)
-        return (mi, *copies, self.n - 1)
-
-    def _vertex_groups(self) -> Iterator[tuple[list[tuple[int, ...]], Iterable[VertexLabel]]]:
-        """Every vertex's curve ids, a group at a time, each group's records
-        with their labels, built only when read: the apex, the bounces by
-        side (bottom first), rank and ray, the ideal points, then the
-        crossings by segment pair and wedge.
-
-        Every record is built rising: mirror ids come before every copy id,
-        and each beam's m copy ids after the previous beam's.  The bounce
-        vertex at (ray, rank) holds the mirror through the ray and then,
-        for each beam bouncing at that (side, rank) in beam order, the
-        copies meeting there from the two wedges the ray separates: two,
-        rising, or one where a copy meets itself.  A crossing pair's first
-        segment lies in the lower beam, so its copy comes first.
-
-        Any generation order gives the same vertex_labels: the structure
-        sorts these records, and once it passes validation no two are equal,
-        so the sort has no ties to break.
-        """
-        m, nw = self._m, self._nw
-        yield [tuple(range(m))], starmap(Apex, [()])
-        for side, parity in ((BOTTOM, 0), (TOP, 1)):
-            rays = range(parity, nw, 2)
-            mirrors = [(ray % m,) for ray in rays]
-            for rank in self._ranks[side]:
-                records = mirrors
-                for bi, s in self._bouncing[side, rank]:
-                    # The copies in the wedges just after and just before
-                    # rays parity, parity + 2, ...
-                    column = self._column(bi, s)
-                    records = [
-                        record + ((a, b) if a < b else (b, a) if b < a else (a,))
-                        for record, a, b in zip(records, column[parity::2], (column[-1:] + column)[parity::2])
-                    ]
-                yield records, map(Bounce, rays, repeat(rank))
-        yield list(map(self._ideal, range(m))), map(Ideal, range(m))
-        for b1, s1, b2, s2 in self._crossing_pairs:
-            yield list(zip(self._column(b1, s1), self._column(b2, s2))), map(Crossing, range(nw))
 
 
 def expand(spec: WedgeSpec) -> ExpandedArrangement:

@@ -1,6 +1,7 @@
 """Layering lint: no module of the package imports or reads another
 module's underscore name, names an underscore name in a public
-signature, imports a name it never reads, or holds an assert statement;
+signature, imports a name it never reads, defines a private name the
+package never reads, or holds an assert statement;
 the package exports exactly its allowlist, only expansion and parsing
 build structures without the constructor's checks, only the expansion
 hands those a proven report, and only limits.py reads the environment."""
@@ -194,6 +195,64 @@ def test_no_module_imports_a_name_it_never_reads():
         if unused:
             offenders[path.name] = unused
     assert offenders == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private functions, methods, classes and module assignments that no
+    source reads, as 'file: name' strings in file and source order.  A
+    read is a loaded name, an attribute of that name or a from-import of
+    it, in any of the sources; a def, class or assignment is not a read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        defined = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(item.lineno, item.name) for item in node.body if isinstance(item, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(node.lineno, target.id) for target in targets if isinstance(target, ast.Name)]
+        unread = [defined_name for _, defined_name in sorted(defined) if _private(defined_name) and defined_name not in read]
+        found += [f"{name}: {unread_name}" for unread_name in unread]
+    return found
+
+
+def test_lint_catches_unread_private_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_used: int = 1\n"
+            "def _helper(x):\n"
+            "    return x + _used\n"
+            "class _Box:\n"
+            "    def _size(self): return 1\n"
+            "    def _spare(self): ...\n"
+            "    def __len__(self): return self._size()\n"
+            "def public(): return _helper(_Box())\n"
+            "def _column(self): ...\n"
+        ),
+        "b.py": "from .a import _LIMIT as limit\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _spare", "a.py: _column"]
+    assert unread_private_names({"c.py": "def _f(): ...\nclass C:\n    def _g(self): ...\n"}) == ["c.py: _f", "c.py: _g"]
+
+
+def test_no_private_name_goes_unread():
+    """Private code that nothing in the package reads is dead, also when a
+    test still calls it."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def test_no_assert_statements_in_package():

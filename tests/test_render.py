@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acckit import BeamSpec, BounceEvent, WedgeSpec, family_wedge, render, render_arrangement, render_wedge
+from acckit import (
+    BeamSpec,
+    BounceEvent,
+    IncidenceStructure,
+    ValidationFailed,
+    WedgeSpec,
+    expand,
+    family_wedge,
+    render,
+    render_arrangement,
+    render_wedge,
+)
 from conftest import run_capped
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -76,6 +87,32 @@ def test_arrangement_propagates_expansion_errors():
     beam = BeamSpec("z", [BounceEvent("T", 1)])
     with pytest.raises(NonClosingBeam):
         render_arrangement(WedgeSpec(3, (beam,)))
+
+
+def test_arrangement_raises_the_validation_failure_of_expand():
+    """Two coincident beams: the quotient refuses the expansion, and the
+    renderer raises the report and message that expand raises."""
+    spec = WedgeSpec(4, [BeamSpec(name, [BounceEvent("T", 1), BounceEvent("B", 1)]) for name in ("b0", "b1")])
+    with pytest.raises(ValidationFailed) as expanded:
+        expand(spec)
+    with pytest.raises(ValidationFailed) as rendered:
+        render_arrangement(spec)
+    assert rendered.value.report == expanded.value.report
+    assert str(rendered.value) == str(expanded.value)
+
+
+def test_arrangement_builds_no_structure(monkeypatch):
+    """A valid expansion is proven valid on its rotation quotient, and the
+    SVG reads only the copies' paths, so no structure is built."""
+    svg = render_arrangement(family_wedge(2))
+
+    def refuse(*args):
+        raise AssertionError("structure built")
+
+    monkeypatch.setattr(IncidenceStructure, "trusted", staticmethod(refuse))
+    with pytest.raises(AssertionError, match="structure built"):
+        expand(family_wedge(2))
+    assert render_arrangement(family_wedge(2)) == svg
 
 
 def _exact_radius(rank):

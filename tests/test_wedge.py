@@ -384,13 +384,10 @@ class ReferenceExpansion:
                     raise SelfCrossingBeam(self.spec.beams[b1].name, s1, s2)
                 self.crossing_pairs.append((b1, s1, b2, s2))
 
-    def arrangement(self):
+    def records(self):
+        """Every (record, label), sorted by record, without validating."""
         m, nw, beams = self.m, self.nw, self.spec.beams
         sizes = [len(beam.events) for beam in beams]
-        line_labels = [Mirror(i) for i in range(m)]
-        for beam in beams:
-            line_labels.extend(BeamCopy(beam.name, copy) for copy in range(m))
-        line_labels.append(LineAtInfinity())
         records = [(tuple(range(m)), Apex())]
         bouncing = {}
         for curve, t, beam in zip(self.curves, sizes, beams):
@@ -410,6 +407,14 @@ class ReferenceExpansion:
                 b = self.curves[b2][w * sizes[b2] + s2]
                 records.append((tuple(sorted({a, b})), Crossing(w)))
         records.sort(key=itemgetter(0))
+        return records
+
+    def arrangement(self):
+        m, records = self.m, self.records()
+        line_labels = [Mirror(i) for i in range(m)]
+        for beam in self.spec.beams:
+            line_labels.extend(BeamCopy(beam.name, copy) for copy in range(m))
+        line_labels.append(LineAtInfinity())
         structure = IncidenceStructure(1, self.n, [ids for ids, _ in records])
         report = validate(structure)
         if not report.valid:
@@ -490,7 +495,7 @@ def test_family_expansion_matches_reference(j):
 
 def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch, tmp_path):
     """The CLI reads only curve ids, so it must not build vertex or line
-    labels, though the vertex groups it walks carry them."""
+    labels, though the orbits it reads carry their label functions."""
     path = tmp_path / "j2.wedge"
     assert dispatch(["gen", "family", "--j", "2", "--out", str(path)]) == 0
     commands = (["audit", "pairs", str(path)], ["expand", str(path)])
@@ -574,8 +579,9 @@ def _expand_recording(spec):
 
 
 def all_records(arrangement):
-    """Every record of an expansion, sorted, built without validating."""
-    return sorted(chain.from_iterable(group for group, _ in arrangement._vertex_groups()))
+    """Every record of an expansion, sorted, built without validating by
+    the reference expansion, so not from the orbits under test."""
+    return [record for record, _ in ReferenceExpansion(arrangement._spec).records()]
 
 
 def check_quotient(arrangement, records):
