@@ -105,8 +105,7 @@ def render_arrangement(spec: WedgeSpec) -> str:
     """The full expansion: every pseudoline as one polyline, the line at
     infinity as the bounding circle (drawn as a closed polyline)."""
     arrangement = ExpandedArrangement(spec)
-    if not arrangement.valid:
-        arrangement.structure  # raises expand's ValidationFailed
+    arrangement.stats  # raises expand's ValidationFailed
     m = spec.m
     radii = _radii(spec)
 

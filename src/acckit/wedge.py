@@ -193,8 +193,9 @@ class ExpandedArrangement:
     the quotient's Stats are built on first read and then kept.
 
     The quotient under the rotation by two wedge images builds no record:
-    orbits() lists one record per orbit with the orbit's length, and valid
-    and stats give validate's verdict and compute_stats(structure).  Only
+    orbits() lists one record per orbit with the orbit's length and its
+    images' labels, and valid and stats give validate's verdict and
+    compute_stats(structure).  Only
     structure and vertex_labels build every record, each as an image of
     its orbit's record (_images).
 
@@ -249,7 +250,8 @@ class ExpandedArrangement:
         full pass, for the report.  Raises ValidationFailed, on every read,
         when it is not valid."""
         proven = ValidationReport(valid=True, violations=()) if self.valid else None
-        records = self._images(self.orbits())
+        orbits = self.orbits()
+        records = self._images(orbits, self._places(orbits))
         records.sort()
         structure = IncidenceStructure.trusted(1, self.n, records, proven)
         report = validate(structure)
@@ -282,36 +284,32 @@ class ExpandedArrangement:
         any row is built.  Then t_k sums the orbit lengths by record size,
         r is the longest row and l_d follows from t_k (census_stats)."""
         orbits, n = self.orbits(), self.n
-        if min(len(record) for record, _ in orbits) < 2:
+        if min(len(record) for record, *_ in orbits) < 2:
             return None
-        if sum(length * len(record) * (len(record) - 1) // 2 for record, length in orbits) != n * (n - 1) // 2:
+        if sum(length * len(record) * (len(record) - 1) // 2 for record, length, _ in orbits) != n * (n - 1) // 2:
             return None
         rows = self._rows(orbits)
         if not all(meets_each_once(row, n) for row in rows):
             return None
         tk: Counter[int] = Counter()
-        for record, length in orbits:
+        for record, length, _ in orbits:
             tk[len(record)] += length
         return census_stats(tk, max(map(len, rows)), n)
 
-    def orbits(self) -> list[tuple[tuple[int, ...], int]]:
+    def orbits(self) -> list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]:
         """Every record orbit under the rotation by two wedge images (see
-        _cycles), as a representative record and the orbit's length: the
-        apex (1); each bounce point's record at ray 0 or 1 (m); the ideal
-        records of mirror 0 and, when m is even, mirror 1 (m / 2 each, or
-        one orbit of m); and each crossing pair's records in wedges 0 and 1
-        (m each).  The lengths sum to the vertex count."""
-        return [(record, length) for record, length, _ in self._labelled_orbits()]
-
-    def _labelled_orbits(self) -> list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]:
-        """orbits(), each with the label of its k-th image as a function of
-        k (the representative's ray, mirror or wedge moved 2k places on), so
-        that no label is built here.  Each record is built rising, as mirror
-        ids come first and each beam's copy ids after the previous beam's: a
-        bounce record holds the mirror through its ray, then in beam order
-        the copies meeting there from the two wedges beside the ray (two,
-        rising, or one where a copy meets itself); a crossing record holds
-        the lower beam's copy first."""
+        _cycles), as a representative record, the orbit's length and the
+        label of the record's k-th image as a function of k (its ray,
+        mirror or wedge moved 2k places on, so that no label is built here):
+        the apex (1); each bounce point's record at ray 0 or 1 (m); the
+        ideal records of mirror 0 and, when m is even, mirror 1 (m / 2 each,
+        or one orbit of m); and each crossing pair's records in wedges 0 and
+        1 (m each).  The lengths sum to the vertex count.  Each record is
+        built rising, as mirror ids come first and each beam's copy ids
+        after the previous beam's: a bounce record holds the mirror through
+        its ray, then in beam order the copies meeting there from the two
+        wedges beside the ray (two, rising, or one where a copy meets
+        itself); a crossing record holds the lower beam's copy first."""
         m, copy = self._m, self._copy
         orbits = [(tuple(range(m)), 1, lambda k: Apex())]
         for side, ray in ((BOTTOM, 0), (TOP, 1)):
@@ -332,16 +330,16 @@ class ExpandedArrangement:
             orbits += [((copy(b1, s1, w), copy(b2, s2, w)), m, lambda k, w=w: Crossing(w + 2 * k)) for w in (0, 1)]
         return orbits
 
-    def _images(self, orbits: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
+    def _images(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]], place: dict[int, tuple[list[int], int]]) -> list[tuple[int, ...]]:
         """Every record: the images of each orbit's record (R, L) under
         the rotation's k-th powers, 0 <= k < L, in orbit order, each rising.
-        The k-th power moves every id k places along its cycle (_places), so
-        each id's images are one slice of its cycle, and the slices zip into
-        the images.  Only two copies of one beam, next to each other (a
-        bounce or, for even m, an ideal pair), can swap; their columns are
-        ordered pairwise."""
-        place, images = self._places(orbits), []
-        for record, length in orbits:
+        The k-th power moves every id k places along its cycle (place, as
+        _places gives it), so each id's images are one slice of its cycle,
+        and the slices zip into the images.  Only two copies of one beam,
+        next to each other (a bounce or, for even m, an ideal pair), can
+        swap; their columns are ordered pairwise."""
+        images: list[tuple[int, ...]] = []
+        for record, length, _ in orbits:
             if length == 1:
                 # The rotation's 0th power is the identity.
                 images.append(record)
@@ -372,13 +370,13 @@ class ExpandedArrangement:
         mirrors = [list(range(0, m, 2)), list(range(1, m, 2))] if m % 2 == 0 else [[2 * i % m for i in range(m)]]
         return [*mirrors, *self._entered, [self.n - 1]]
 
-    def _places(self, orbits: list[tuple[tuple[int, ...], int]]) -> dict[int, tuple[list[int], int]]:
+    def _places(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]) -> dict[int, tuple[list[int], int]]:
         """The cycle (_cycles) and place on it of each id in the records
         that the rotation moves (L > 1) in orbits: not the apex's m mirrors."""
-        ids = {cid for record, length in orbits if length > 1 for cid in record}
+        ids = {cid for record, length, _ in orbits if length > 1 for cid in record}
         return {cid: (cycle, p) for cycle in self._cycles() for p, cid in enumerate(cycle) if cid in ids}
 
-    def _rows(self, orbits: list[tuple[tuple[int, ...], int]]) -> list[list[tuple[int, ...]]]:
+    def _rows(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]) -> list[list[tuple[int, ...]]]:
         """The records on each cycle's first curve c, in _cycles order: for
         each orbit (R, L), the images of R under the rotation's k-th powers,
         0 <= k < L, that hold c.  An id at place p of a cycle of length P
@@ -387,23 +385,21 @@ class ExpandedArrangement:
         holds, and only the other records' ids need their places."""
         rows: dict[int, list[tuple[int, ...]]] = {cycle[0]: [] for cycle in self._cycles()}
         place = self._places(orbits)
-        for record, length in orbits:
+        for orbit in orbits:
+            record, length, _ = orbit
             if length == 1:
                 for start in rows.keys() & set(record):
                     rows[start].append(record)
                 continue
             places = [place[cid] for cid in record]
             for cycle, p in places:
-                powers = range(-p % len(cycle), length, len(cycle))
-                if len(powers) > len(record):
-                    # More powers than ids (the line at infinity takes every
-                    # power): each id's images under them, zipped into records.
-                    images = ([image[(q + k) % len(image)] for k in powers] for image, q in places)
-                    rows[cycle[0]].extend(zip(*images))
-                else:
-                    for k in powers:
-                        # The rotation's 0th power is the identity.
-                        rows[cycle[0]].append(tuple(image[(q + k) % len(image)] for image, q in places) if k else record)
+                if len(cycle) == 1:
+                    # The line at infinity, on every image.
+                    rows[cycle[0]] += self._images([orbit], place)
+                    continue
+                for k in range(-p % len(cycle), length, len(cycle)):
+                    # The rotation's 0th power is the identity.
+                    rows[cycle[0]].append(tuple(image[(q + k) % len(image)] for image, q in places) if k else record)
         return list(rows.values())
 
     @cached_property
@@ -417,11 +413,12 @@ class ExpandedArrangement:
     @cached_property
     def vertex_labels(self) -> tuple[VertexLabel, ...]:
         """Each vertex's label, in the sorted order of structure.vertices:
-        each orbit's images (_images) with their labels (_labelled_orbits).
-        Any order of the images gives the same labels: once the structure
-        passes validation no two records are equal, so the sort has no ties."""
-        ids = self._images(self.orbits())
-        labels = [label(k) for _, length, label in self._labelled_orbits() for k in range(length)]
+        each orbit's images (_images) with their labels (orbits).  Any order
+        of the images gives the same labels: once the structure passes
+        validation no two records are equal, so the sort has no ties."""
+        orbits = self.orbits()
+        ids = self._images(orbits, self._places(orbits))
+        labels = [label(k) for _, length, label in orbits for k in range(length)]
         return tuple(map(labels.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)))
 
     @cached_property

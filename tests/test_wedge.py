@@ -599,7 +599,7 @@ def check_quotient(arrangement, records):
     assert sorted(min(cycle) for cycle in cycles(rotation)) == starts
     orbits = arrangement.orbits()
     images = Counter()
-    for record, length in orbits:
+    for record, length, _ in orbits:
         image = record
         for _ in range(length):
             images[tuple(sorted(image))] += 1
@@ -611,7 +611,7 @@ def check_quotient(arrangement, records):
     report = validate(s)
     assert arrangement.valid == report.valid
     if report.valid:
-        assert sum(length for _, length in orbits) == len(records)
+        assert sum(length for _, length, _ in orbits) == len(records)
         assert arrangement.stats == compute_stats(s)
         assert sum(arrangement.stats.tk.values()) == len(records)
     return report
@@ -678,9 +678,9 @@ def test_quotient_refuses_a_record_of_one_id():
     """Every wedge record holds two or more ids, so only an orbit put in by
     hand reaches the size check: the line at infinity alone, fixed by the
     rotation, leaves every row meeting every other curve once, but the
-    full pass reports it as a small vertex."""
+    full pass reports it as a small vertex.  The quotient reads no label."""
     arrangement = ExpandedArrangement(family_wedge(1))
-    orbits = [*arrangement.orbits(), ((arrangement.n - 1,), 1)]
+    orbits = [*arrangement.orbits(), ((arrangement.n - 1,), 1, None)]
     arrangement.orbits = lambda: orbits
     assert all(acckit.structure.meets_each_once(row, arrangement.n) for row in arrangement._rows(orbits))
     report = check_quotient(arrangement, sorted([*all_records(arrangement), (arrangement.n - 1,)]))
@@ -692,7 +692,7 @@ def orbit_records(arrangement, orbits):
     the reference rotation's first powers, up to its orbit's length."""
     rotation = reference_rotation(arrangement)
     records = []
-    for record, length in orbits:
+    for record, length, _ in orbits:
         for _ in range(length):
             records.append(tuple(sorted(record)))
             record = tuple(rotation[cid] for cid in record)
@@ -706,9 +706,9 @@ def test_quotient_checks_the_rows_when_the_pair_count_holds():
     arrangement = ExpandedArrangement(family_wedge(1))
     orbits = arrangement.orbits()
     # The first crossing record: a red copy, then a blue one.
-    i, ((red, blue), length) = next((i, orbit) for i, orbit in enumerate(orbits) if orbit[0][0] >= arrangement._m)
+    i, ((red, blue), length, label) = next((i, orbit) for i, orbit in enumerate(orbits) if orbit[0][0] >= arrangement._m)
     blues = arrangement._entered[1]
-    orbits[i] = ((red, blues[1] if blue == blues[0] else blues[0]), length)
+    orbits[i] = ((red, blues[1] if blue == blues[0] else blues[0]), length, label)
     arrangement.orbits = lambda: orbits
     report = check_quotient(arrangement, orbit_records(arrangement, orbits))
     assert not report.valid and "PairMultiplicity" in report.counts
