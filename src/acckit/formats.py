@@ -176,7 +176,8 @@ def serialize_structure(s: IncidenceStructure) -> str:
     names = _Names()
     out = ["acc 1", f"alpha {s.alpha}", f"lines {s.n}"]
     out.extend("v " + " ".join(map(names.__getitem__, vertex)) for vertex in sorted(s.vertices))
-    return "\n".join(out) + "\n"
+    out.append("")
+    return "\n".join(out)
 
 
 def parse_wedge(text: str) -> WedgeSpec:

@@ -60,7 +60,7 @@ def _svg(view: str, body: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_SIZE}" '
         f'height="{_SIZE}" viewBox="{view}">',
     ]
-    return "\n".join(header + body + ["</svg>"]) + "\n"
+    return "\n".join([*header, *body, "</svg>", ""])
 
 
 def _beam(name: str, index: int, pts) -> str:
@@ -142,13 +142,8 @@ def render_arrangement(spec: WedgeSpec) -> str:
         )
 
     beam_index = {beam.name: bi for bi, beam in enumerate(spec.beams)}
-    for name, copy, waypoints in arrangement.paths:
-        pts = []
-        for kind, a, b in waypoints:
-            if kind == "ideal":
-                pts.append(circle_point(ray_angle(a)))
-            else:
-                pts.append(bounce_point(a, b))
+    for name, _, waypoints in arrangement.paths:
+        pts = [circle_point(ray_angle(a)) if kind == "ideal" else bounce_point(a, b) for kind, a, b in waypoints]
         parts.append(_beam(name, beam_index[name], pts))
 
     return _svg(view, parts)

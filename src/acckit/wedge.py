@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 from .limits import check_size
 from .structure import ExpansionError, IncidenceStructure, Stats, ValidationReport, census_stats, meets_each_once, validate
@@ -186,11 +186,11 @@ class ExpandedArrangement:
     labels.
 
     n is the curve count.  line_labels[i] describes curve id i;
-    vertex_labels[j] describes structure.vertices[j].  paths holds every
+    vertex_labels[j] describes structure.vertices[j].  paths yields every
     beam copy's boundary traversal in curve id order, for the renderer.  The
     constructor builds only the copy routes and the crossings, and raises
-    what expand raises before assembly; structure, the labels, paths and
-    the quotient's Stats are built on first read and then kept.
+    what expand raises before assembly; structure, the labels and the
+    quotient's Stats are built on first read and then kept.
 
     The quotient under the rotation by two wedge images builds no record:
     orbits() lists one record per orbit with the orbit's length and its
@@ -277,12 +277,13 @@ class ExpandedArrangement:
     def _quotient_stats(self) -> Stats | None:
         """The Stats of structure from its orbits alone, or None when it is
         not valid.  It is valid when every orbit's record holds two or more
-        ids and each cycle's first curve meets every other curve once on
-        its row: the rotation keeps record sizes and carries rows onto rows
-        and every curve onto some cycle's first.  The records' pair count,
-        C(n, 2) when every pair meets once, refuses most invalid ones before
-        any row is built.  Then t_k sums the orbit lengths by record size,
-        r is the longest row and l_d follows from t_k (census_stats)."""
+        ids and every row of _rows meets every other curve once: the
+        rotation keeps record sizes and carries rows onto rows and every
+        curve onto some cycle's first.  The records' pair count, C(n, 2)
+        when every pair meets once, refuses most invalid ones before any row
+        is built.  Then t_k sums the orbit lengths by record size, r is the
+        longest row or the line at infinity's degree, the summed lengths of
+        the orbits whose record ends in it, and l_d follows from t_k."""
         orbits, n = self.orbits(), self.n
         if min(len(record) for record, *_ in orbits) < 2:
             return None
@@ -294,7 +295,8 @@ class ExpandedArrangement:
         tk: Counter[int] = Counter()
         for record, length, _ in orbits:
             tk[len(record)] += length
-        return census_stats(tk, max(map(len, rows)), n)
+        infinity = sum(length for record, length, _ in orbits if record[-1] == n - 1)
+        return census_stats(tk, max(infinity, *map(len, rows)), n)
 
     def orbits(self) -> list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]:
         """Every record orbit under the rotation by two wedge images (see
@@ -377,29 +379,29 @@ class ExpandedArrangement:
         return {cid: (cycle, p) for cycle in self._cycles() for p, cid in enumerate(cycle) if cid in ids}
 
     def _rows(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]) -> list[list[tuple[int, ...]]]:
-        """The records on each cycle's first curve c, in _cycles order: for
-        each orbit (R, L), the images of R under the rotation's k-th powers,
-        0 <= k < L, that hold c.  An id at place p of a cycle of length P
-        reaches c exactly when k = -p (mod P), so a record the rotation
-        fixes (L = 1: the apex) lies on the rows of the cycle starts it
-        holds, and only the other records' ids need their places."""
-        rows: dict[int, list[tuple[int, ...]]] = {cycle[0]: [] for cycle in self._cycles()}
+        """The records on each cycle's first curve c, in _cycles order, but
+        the line at infinity's, which the rotation fixes: once every other
+        row meets every curve once, so does it.  For each orbit (R, L), the
+        images of R under the rotation's k-th powers, 0 <= k < L, that hold
+        c.  An id at place p of a cycle of length P reaches c exactly when
+        k = -p (mod P), so a record the rotation fixes (L = 1: the apex)
+        lies on the rows of the cycle starts it holds, and only the other
+        records' ids need their places."""
+        rows: dict[int, list[tuple[int, ...]]] = {cycle[0]: [] for cycle in self._cycles()[:-1]}
         place = self._places(orbits)
-        for orbit in orbits:
-            record, length, _ = orbit
+        for record, length, _ in orbits:
             if length == 1:
                 for start in rows.keys() & set(record):
                     rows[start].append(record)
                 continue
             places = [place[cid] for cid in record]
             for cycle, p in places:
-                if len(cycle) == 1:
-                    # The line at infinity, on every image.
-                    rows[cycle[0]] += self._images([orbit], place)
+                row = rows.get(cycle[0])
+                if row is None:
                     continue
                 for k in range(-p % len(cycle), length, len(cycle)):
                     # The rotation's 0th power is the identity.
-                    rows[cycle[0]].append(tuple(image[(q + k) % len(image)] for image, q in places) if k else record)
+                    row.append(tuple(image[(q + k) % len(image)] for image, q in places) if k else record)
         return list(rows.values())
 
     @cached_property
@@ -421,12 +423,11 @@ class ExpandedArrangement:
         labels = [label(k) for _, length, label in orbits for k in range(length)]
         return tuple(map(labels.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)))
 
-    @cached_property
-    def paths(self) -> tuple[CopyPath, ...]:
-        """Every copy's waypoints, in curve id order: rays rising from its
-        even entry 2i to 2i + 2t when that is its lower entry, else falling
-        from 2i + 2t back to 2i."""
-        paths: list[CopyPath] = []
+    @property
+    def paths(self) -> Iterator[CopyPath]:
+        """Every copy's waypoints, in curve id order, made on each read:
+        rays rising from its even entry 2i to 2i + 2t when that is its lower
+        entry, else falling from 2i + 2t back to 2i."""
         for beam, entered in zip(self._spec.beams, self._entered):
             ranks = [event.rank for event in beam.events]
             # Each copy's waypoint kinds and ranks, the same read either way.
@@ -435,9 +436,7 @@ class ExpandedArrangement:
             for copy, i in enumerate(sorted(range(self._m), key=entered.__getitem__)):
                 e = 2 * i
                 rays = range(e, e + span + 1) if e < (e + span - 1) % self._nw else range(e + span, e - 1, -1)
-                waypoints = tuple((kind, ray % self._nw, rank) for (kind, rank), ray in zip(shape, rays))
-                paths.append((beam.name, copy, waypoints))
-        return tuple(paths)
+                yield beam.name, copy, tuple((kind, ray % self._nw, rank) for (kind, rank), ray in zip(shape, rays))
 
     def apex_degree(self) -> int:
         # The apex record holds the m mirrors.

@@ -9,14 +9,14 @@ from pathlib import Path
 import acckit
 
 
-def run_capped(argv, stdin_text=None):
-    """Run the CLI in a subprocess with address space capped at 1 GiB and
-    time at 60 s, so that a regression fails with MemoryError or a timeout
-    instead of exhausting the machine; stdin_text, when given, is its
-    standard input."""
+def run_capped(argv, stdin_text=None, cap=1 << 30):
+    """Run the CLI in a subprocess with address space capped at cap bytes
+    (1 GiB by default) and time at 60 s, so that a regression fails with
+    MemoryError or a timeout instead of exhausting the machine; stdin_text,
+    when given, is its standard input."""
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = {**os.environ, "PYTHONPATH": str(Path(acckit.__file__).parents[1])}
     env.pop("ACCKIT_EXPAND_BUDGET", None)
@@ -26,6 +26,6 @@ def run_capped(argv, stdin_text=None):
         capture_output=True,
         text=True,
         env=env,
-        preexec_fn=cap,
+        preexec_fn=limit,
         timeout=60,
     )

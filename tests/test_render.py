@@ -21,6 +21,7 @@ from acckit import (
     render,
     render_arrangement,
     render_wedge,
+    serialize_wedge,
 )
 from conftest import run_capped
 
@@ -172,6 +173,18 @@ def test_render_far_rank_finishes(tmp_path, target):
     result = run_capped(["render", target, str(path)])
     assert (result.returncode, result.stderr) == (0, "")
     assert _count(result.stdout, "polyline", "beam") == (1 if target == "wedge" else 2)
+
+
+def test_arrangement_writes_each_path_as_it_is_made(tmp_path):
+    """render arrangement formats each copy's polyline from its waypoints as
+    they are made, not from a kept tuple of every copy's: family j = 100
+    peaked at 118 MiB and ran out of a 96 MiB address space, and now peaks
+    at about 40 MiB.  Never run this input without the cap."""
+    path = tmp_path / "j100.wedge"
+    path.write_text(serialize_wedge(family_wedge(100)))
+    result = run_capped(["render", "arrangement", str(path)], cap=96 << 20)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert _count(result.stdout, "polyline", "beam") == 2 * family_wedge(100).m
 
 
 def _beam(name, *bounces):
