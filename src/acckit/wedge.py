@@ -177,7 +177,8 @@ def check_expansion_size(m: int, bounces: int) -> None:
     atoms and m mirrors, each mirror with its id in the apex record and its
     ideal record (a tuple, two ids and a line of text), so 6 units a mirror,
     and that size may not exceed the budget set in ACCKIT_EXPAND_BUDGET
-    (default 10^7).  Raises SizeLimitExceeded."""
+    (default 10^7); the crossing records are sized once the crossings are
+    found (see expand).  Raises SizeLimitExceeded."""
     check_size("expansion", 6 * m + 2 * m * bounces, "units (6 per mirror, 1 per beam atom)")
 
 
@@ -192,12 +193,12 @@ class ExpandedArrangement:
     what expand raises before assembly; structure, the labels and the
     quotient's Stats are built on first read and then kept.
 
-    The quotient under the rotation by two wedge images builds no record:
-    orbits() lists one record per orbit with the orbit's length and its
-    images' labels, and valid and stats give validate's verdict and
-    compute_stats(structure).  Only
-    structure and vertex_labels build every record, each as an image of
-    its orbit's record (_images).
+    The quotient under the rotation by two wedge images (_places) builds no
+    record: orbits() lists one record per orbit with the orbit's length and
+    its images' labels, and valid and stats give validate's verdict and
+    compute_stats(structure).  Only structure and vertex_labels build every
+    record, each as an image of its orbit's record (_images), and neither
+    keeps the orbits or the rotation past that.
 
     A beam's bounces alternate sides from the top edge, so every bounce
     carries a copy one wedge image on: from even wedge w a top bounce
@@ -242,6 +243,7 @@ class ExpandedArrangement:
         # The line at infinity is the last curve, n - 1.
         self.n = next_id + 1
         self._crossing_pairs = self._find_crossings()
+        check_size("expansion", 2 * m * len(self._crossing_pairs), "crossing records")
 
     @cached_property
     def structure(self) -> IncidenceStructure:
@@ -250,8 +252,7 @@ class ExpandedArrangement:
         full pass, for the report.  Raises ValidationFailed, on every read,
         when it is not valid."""
         proven = ValidationReport(valid=True, violations=()) if self.valid else None
-        orbits = self.orbits()
-        records = self._images(orbits, self._places(orbits))
+        records = self._images(self.orbits())
         records.sort()
         structure = IncidenceStructure.trusted(1, self.n, records, proven)
         report = validate(structure)
@@ -279,28 +280,27 @@ class ExpandedArrangement:
         not valid.  It is valid when every orbit's record holds two or more
         ids and every row of _rows meets every other curve once: the
         rotation keeps record sizes and carries rows onto rows and every
-        curve onto some cycle's first.  The records' pair count, C(n, 2)
-        when every pair meets once, refuses most invalid ones before any row
-        is built.  Then t_k sums the orbit lengths by record size, r is the
-        longest row or the line at infinity's degree, the summed lengths of
-        the orbits whose record ends in it, and l_d follows from t_k."""
+        curve onto some cycle's start.  t_k sums the orbit lengths by record
+        size, so the least size is min(t_k), and the pair count sum t_k *
+        C(k, 2), C(n, 2) when every pair meets once, refuses most invalid
+        ones before any row is built.  r is the longest row or the line at
+        infinity's degree, the summed lengths of the orbits whose record
+        ends in it, and l_d follows from t_k."""
         orbits, n = self.orbits(), self.n
-        if min(len(record) for record, *_ in orbits) < 2:
-            return None
-        if sum(length * len(record) * (len(record) - 1) // 2 for record, length, _ in orbits) != n * (n - 1) // 2:
+        tk: Counter[int] = Counter()
+        for record, length, _ in orbits:
+            tk[len(record)] += length
+        if min(tk) < 2 or sum(t * k * (k - 1) // 2 for k, t in tk.items()) != n * (n - 1) // 2:
             return None
         rows = self._rows(orbits)
         if not all(meets_each_once(row, n) for row in rows):
             return None
-        tk: Counter[int] = Counter()
-        for record, length, _ in orbits:
-            tk[len(record)] += length
         infinity = sum(length for record, length, _ in orbits if record[-1] == n - 1)
         return census_stats(tk, max(infinity, *map(len, rows)), n)
 
     def orbits(self) -> list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]:
         """Every record orbit under the rotation by two wedge images (see
-        _cycles), as a representative record, the orbit's length and the
+        _places), as a representative record, the orbit's length and the
         label of the record's k-th image as a function of k (its ray,
         mirror or wedge moved 2k places on, so that no label is built here):
         the apex (1); each bounce point's record at ray 0 or 1 (m); the
@@ -328,18 +328,38 @@ class ExpandedArrangement:
         copies = [entered[i] for entered in self._entered for i in range(0, m, m // split)]
         ideals = [(0, *copies, self.n - 1), (1, self.n - 1)][:split]
         orbits += [(record, m // split, lambda k, mi=mi: Ideal((mi + 2 * k) % m)) for mi, record in enumerate(ideals)]
+        crossings = [lambda k, w=w: Crossing(w + 2 * k) for w in (0, 1)]
         for b1, s1, b2, s2 in self._crossing_pairs:
-            orbits += [((copy(b1, s1, w), copy(b2, s2, w)), m, lambda k, w=w: Crossing(w + 2 * k)) for w in (0, 1)]
+            orbits += [((copy(b1, s1, w), copy(b2, s2, w)), m, crossings[w]) for w in (0, 1)]
         return orbits
 
-    def _images(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]], place: dict[int, tuple[list[int], int]]) -> list[tuple[int, ...]]:
+    def _places(self) -> dict[int, tuple[list[int], int]]:
+        """The rotation, as the cycle (listed in the order the rotation moves
+        its ids) and the place on it of every id that a moved record can
+        hold, so that its k-th power moves every id k places on.  Mirror i goes
+        to i + 2 mod m (only the apex, which it fixes, holds mirrors 2 and
+        up), the copy _entered[b][i] to _entered[b][i + 1] and the line at
+        infinity stays.  A copy's route moves two wedges on with its entry,
+        and every record is indexed by ray, wedge or mirror, so the rotation
+        carries the records onto themselves.  Each cycle starts, at place
+        0, at its least id."""
+        m = self._m
+        # Even m splits the mirrors into two cycles; odd m moves all in one, for both 0 and 1.
+        mirrors = [list(range(0, m, 2)), list(range(1, m, 2))] if m % 2 == 0 else [[2 * i % m for i in range(m)]] * 2
+        place = {i: (cycle, cycle.index(i)) for i, cycle in enumerate(mirrors)}
+        for cycle in [*self._entered, [self.n - 1]]:
+            place.update((cid, (cycle, p)) for p, cid in enumerate(cycle))
+        return place
+
+    def _images(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]) -> list[tuple[int, ...]]:
         """Every record: the images of each orbit's record (R, L) under
         the rotation's k-th powers, 0 <= k < L, in orbit order, each rising.
-        The k-th power moves every id k places along its cycle (place, as
-        _places gives it), so each id's images are one slice of its cycle,
-        and the slices zip into the images.  Only two copies of one beam,
-        next to each other (a bounce or, for even m, an ideal pair), can
-        swap; their columns are ordered pairwise."""
+        The k-th power moves every id k places along its cycle (_places),
+        so each id's images are one slice of its cycle, and the slices zip
+        into the images.  Only two copies of one beam, next to each other
+        (a bounce or, for even m, an ideal pair), can swap; their columns
+        are ordered pairwise."""
+        place = self._places()
         images: list[tuple[int, ...]] = []
         for record, length, _ in orbits:
             if length == 1:
@@ -360,41 +380,19 @@ class ExpandedArrangement:
             images += zip(*columns)
         return images
 
-    def _cycles(self) -> list[list[int]]:
-        """The rotation's cycles, each in the order the rotation moves its
-        ids, so that its k-th power moves every id k places on: mirror i
-        goes to i + 2 mod m, the copy _entered[b][i] to _entered[b][i + 1]
-        and the line at infinity stays.  A copy's route moves two wedges on
-        with its entry, and every record is indexed by ray, wedge or mirror,
-        so the rotation carries the records onto themselves.  Each cycle
-        starts at its least id."""
-        m = self._m
-        mirrors = [list(range(0, m, 2)), list(range(1, m, 2))] if m % 2 == 0 else [[2 * i % m for i in range(m)]]
-        return [*mirrors, *self._entered, [self.n - 1]]
-
-    def _places(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]) -> dict[int, tuple[list[int], int]]:
-        """The cycle (_cycles) and place on it of each id in the records
-        that the rotation moves (L > 1) in orbits: not the apex's m mirrors."""
-        ids = {cid for record, length, _ in orbits if length > 1 for cid in record}
-        return {cid: (cycle, p) for cycle in self._cycles() for p, cid in enumerate(cycle) if cid in ids}
-
     def _rows(self, orbits: list[tuple[tuple[int, ...], int, Callable[[int], VertexLabel]]]) -> list[list[tuple[int, ...]]]:
-        """The records on each cycle's first curve c, in _cycles order, but
-        the line at infinity's, which the rotation fixes: once every other
-        row meets every curve once, so does it.  For each orbit (R, L), the
-        images of R under the rotation's k-th powers, 0 <= k < L, that hold
-        c.  An id at place p of a cycle of length P reaches c exactly when
-        k = -p (mod P), so a record the rotation fixes (L = 1: the apex)
-        lies on the rows of the cycle starts it holds, and only the other
-        records' ids need their places."""
-        rows: dict[int, list[tuple[int, ...]]] = {cycle[0]: [] for cycle in self._cycles()[:-1]}
-        place = self._places(orbits)
+        """The records on each cycle start c, the ids at place 0 of _places,
+        but the line at infinity's, which the rotation fixes: once every
+        other row meets every curve once, so does it.  For each orbit
+        (R, L), the images of R under the rotation's k-th powers, 0 <= k < L,
+        that hold c.  An id at place p of a cycle of length P reaches c
+        exactly when k = -p (mod P).  An id with no place is a mirror that
+        only the apex holds, never a start, so the apex reaches the rows of
+        the mirror starts through mirrors 0 and 1."""
+        place = self._places()
+        rows: dict[int, list[tuple[int, ...]]] = {cid: [] for cid, (_, p) in place.items() if p == 0 and cid != self.n - 1}
         for record, length, _ in orbits:
-            if length == 1:
-                for start in rows.keys() & set(record):
-                    rows[start].append(record)
-                continue
-            places = [place[cid] for cid in record]
+            places = [at for at in map(place.get, record) if at]
             for cycle, p in places:
                 row = rows.get(cycle[0])
                 if row is None:
@@ -418,9 +416,8 @@ class ExpandedArrangement:
         each orbit's images (_images) with their labels (orbits).  Any order
         of the images gives the same labels: once the structure passes
         validation no two records are equal, so the sort has no ties."""
-        orbits = self.orbits()
-        ids = self._images(orbits, self._places(orbits))
-        labels = [label(k) for _, length, label in orbits for k in range(length)]
+        labels = [label(k) for _, length, label in self.orbits() for k in range(length)]
+        ids = self._images(self.orbits())
         return tuple(map(labels.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)))
 
     @property
@@ -486,12 +483,13 @@ def expand(spec: WedgeSpec) -> ExpandedArrangement:
     """Expand a wedge into the full dihedrally symmetric arrangement, its
     structure built and validated.
 
-    Deterministic and purely combinatorial.  Raises SelfCrossingBeam when two
-    segments of one beam interleave inside a wedge, NonClosingBeam when a
-    pseudoline copy fails to close through a single ideal point (exactly
-    when m does not divide 2t for a beam of t bounces), SizeLimitExceeded
-    when the beams close but 6m + 2m * (total bounces) exceeds the expansion
-    budget (see check_expansion_size), and ValidationFailed when the
+    Deterministic and purely combinatorial.  Raises, in this order:
+    NonClosingBeam when a copy fails to close through a single ideal point
+    (exactly when m does not divide 2t for a beam of t bounces),
+    SizeLimitExceeded when 6m + 2m * (total bounces) exceeds the expansion
+    budget (check_expansion_size), SelfCrossingBeam when two segments of
+    one beam interleave inside a wedge, SizeLimitExceeded when the crossing
+    records, 2m per crossing pair, exceed it, and ValidationFailed when the
     assembled structure is not a genuine alpha = 1 incidence structure.
 
     The expansion is symmetric under rotation by two wedge images, so its

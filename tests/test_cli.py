@@ -320,9 +320,10 @@ def test_beamless_wedge_size_counts_apex_and_ideal_records(tmp_path, argv):
     m ideal records, which the expansion size weighs at 6 units a mirror:
     m = 9,999,999 ran out of a 1 GiB address space when only the m mirrors
     were counted, and is now refused; the largest m admitted, 1,666,666,
-    exits 0 within 320 MiB, as its quotient builds no row for the line at
+    exits 0 within 240 MiB, as its quotient builds no row for the line at
     infinity, which lies on every ideal record (with that row it peaked at
-    379 MiB).  Never run these inputs without the cap."""
+    379 MiB), and no set of the apex's m ids (with it, 246 MiB).  Never run
+    these inputs without the cap."""
     refused, admitted = tmp_path / "refused.wedge", tmp_path / "admitted.wedge"
     refused.write_text("wedge 1\nm 9999999\n")
     admitted.write_text("wedge 1\nm 1666666\n")
@@ -332,7 +333,7 @@ def test_beamless_wedge_size_counts_apex_and_ideal_records(tmp_path, argv):
         "error: expansion needs 59999994 units (6 per mirror, 1 per beam atom), budget is 10000000;"
         " raise ACCKIT_EXPAND_BUDGET to proceed\n"
     )
-    result = run_capped([*argv, str(admitted)], cap=320 << 20)
+    result = run_capped([*argv, str(admitted)], cap=240 << 20)
     assert (result.returncode, result.stderr) == (0, "")
 
 
@@ -731,13 +732,30 @@ def test_huge_declared_line_count_is_bounded_by_the_records(tmp_path, argv, n):
 
 def test_large_failed_expansion_is_bounded(tmp_path):
     """The 800-beam crossing wedge fails 2.56M times; listing every violation
-    ran out of a 1 GiB address space.  Never run this input without the cap."""
+    ran out of a 1 GiB address space, and keeping the orbit list and a label
+    function per crossing orbit through the full pass peaked at 862 MiB.
+    Never run this input without the cap."""
     path = tmp_path / "crossing.wedge"
     path.write_text(crossing_wedge(800))
-    result = run_capped(["validate", str(path)])
-    assert result.returncode in (1, 2)
-    assert result.stderr.startswith("error: ")
-    assert "Traceback" not in result.stderr
+    result = run_capped(["validate", str(path)], cap=640 << 20)
+    expected = "error: expanded arrangement failed validation with 2561600 violation(s)\n"
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", expected)
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "expand"])
+def test_crossing_records_refused_before_the_orbits(tmp_path, command):
+    """The 2000-beam crossing wedge has 3,998,000 crossing pairs, 4 records
+    each at m = 2, which the expansion size of its beams (16,012 units)
+    does not count; building their orbits ran out of a 1 GiB address space.
+    They are sized once found.  Never run this input without the cap."""
+    path = tmp_path / "crossing.wedge"
+    path.write_text(crossing_wedge(2000))
+    result = run_capped([command, str(path)])
+    expected = (
+        "error: expansion needs 15992000 crossing records, budget is 10000000;"
+        " raise ACCKIT_EXPAND_BUDGET to proceed\n"
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", expected)
 
 
 @pytest.mark.parametrize(

@@ -587,16 +587,16 @@ def all_records(arrangement):
 def check_quotient(arrangement, records):
     """The quotient view against the materialised records, on a fresh
     structure (so its report is the full pass's): the reference rotation
-    maps the records onto themselves, each of its cycles holds one rotation
-    cycle's first curve, the orbits' images under it are the records, each
-    such curve's row but the line at infinity's is built and is the one the
-    records give, and the verdict equals
-    validate's, and when valid, the vertex count and Stats equal the
-    materialised ones.  Returns that report."""
+    maps the records onto themselves, its cycles' least ids are the ids at
+    place 0 of _places, the orbits' images under it are the records, each
+    such id's row but the line at infinity's is built and is the one the
+    records give, and the verdict equals validate's, and when valid, the
+    vertex count and Stats equal the materialised ones.  Returns that
+    report."""
     s = IncidenceStructure(1, arrangement.n, records)
     rotation = reference_rotation(arrangement)
     assert is_automorphism(s, rotation)
-    starts = [cycle[0] for cycle in arrangement._cycles()]
+    starts = [cid for cid, (_, p) in arrangement._places().items() if p == 0]
     assert sorted(min(cycle) for cycle in cycles(rotation)) == starts
     orbits = arrangement.orbits()
     images = Counter()
@@ -674,7 +674,7 @@ def test_family_orbit_validation_matches_full_validation(j):
     calls = _check_orbit_validation(family_wedge(j))
     assert len(calls) == 1 and calls[0][1] is not None
     # Mirrors 0 and 1, the first copy of each beam and the line at infinity.
-    starts = [cycle[0] for cycle in ExpandedArrangement(family_wedge(j))._cycles()]
+    starts = [cid for cid, (_, p) in ExpandedArrangement(family_wedge(j))._places().items() if p == 0]
     assert starts == [0, 1, 6 * j + 2, 12 * j + 4, 18 * j + 6]
 
 
