@@ -14,7 +14,7 @@ _HOME = {
     name: module
     for module, names in {
         "audits": (
-            "DichotomyReport DiracAuditReport DyadicProfileParams DyadicWindowReport TkBoundEntry "
+            "DichotomyReport DiracAuditReport DyadicWindowReport TkBoundEntry "
             "TkBoundsReport audit_dirac audit_tk_bounds dichotomy_report dyadic_profile"
         ),
         "family": "family_wedge gen_near_pencil gen_pencil gen_simple_cyclic",

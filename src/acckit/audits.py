@@ -124,24 +124,46 @@ class DiracAuditReport:
     n: int
     g: int
     h: int
-    hypothesis_holds: bool
     witness_subset: tuple[int, ...]
-    g_ge_h: bool
-    g_margin: int
-    binom_ineq_holds: bool
-    binom_margin: int
+
+    @property
+    def hypothesis_holds(self) -> bool:
+        return self.h < self.n
+
+    @property
+    def g_margin(self) -> int:
+        return self.g - self.h
+
+    @property
+    def g_ge_h(self) -> bool:
+        return self.g_margin >= 0
+
+    @property
+    def binom_margin(self) -> int:
+        return math.comb(self.g, self.alpha) * self.h - (self.n - 1)
+
+    @property
+    def binom_ineq_holds(self) -> bool:
+        return self.binom_margin >= 0
+
+
+def check_subset_budget(vertices: int, alpha: int) -> None:
+    """Refuse a search over the C(vertices, alpha) subsets of records above
+    the budget set in ACCKIT_SUBSET_BUDGET (default 10^7) with
+    SizeLimitExceeded.  The scan for alpha = 1 is not capped, but the
+    variable is read for it too, so a malformed value is always refused."""
+    subsets = math.comb(vertices, alpha) if alpha > 1 else 0
+    check_size("subset search", subsets, "evaluations", "ACCKIT_SUBSET_BUDGET")
 
 
 def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     """Max curves adjacent to all vertices of an alpha-subset, with the
     lexicographically least witness subset (vertex indices).  Both callers
     validate first, and a valid structure has n >= 2 curves, whose pairs
-    each lie on alpha records, so it holds at least alpha records.
-
-    The C(vertices, alpha) subsets are refused over the budget set in
-    ACCKIT_SUBSET_BUDGET (default 10^7) with SizeLimitExceeded, before the
-    search starts.  The scan for alpha = 1 is not capped, but the variable
-    is read for it too, so a malformed value is refused on every structure.
+    each lie on alpha records, so it holds at least alpha records.  The
+    search is refused over its budget before it starts (check_subset_budget).
+    The command line reads a .wedge's alpha = 1 result from its rotation
+    quotient instead (ExpandedArrangement.largest), without the records.
 
     For alpha >= 2 each record becomes an int mask, bit c set for each curve
     c on it.  The search grows a prefix of record indices in rising order;
@@ -163,8 +185,7 @@ def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
     and number at most the records (the non-uniform Fisher inequality).
     """
     vcount = len(s.vertices)
-    subsets = math.comb(vcount, s.alpha) if s.alpha > 1 else 0
-    check_size("subset search", subsets, "evaluations", "ACCKIT_SUBSET_BUDGET")
+    check_subset_budget(vcount, s.alpha)
     if s.alpha == 1:
         sizes = list(map(len, s.vertices))
         best = max(sizes)
@@ -195,24 +216,8 @@ def _best_subset_coverage(s: IncidenceStructure) -> tuple[int, tuple[int, ...]]:
 def audit_dirac(s: IncidenceStructure) -> DiracAuditReport:
     """Audit the degree argument on a valid structure: g is the largest
     curve degree and h the most curves that all records of some
-    alpha-subset share.  The hypothesis holds exactly when h < n; the proof
-    steps g >= h and C(g, alpha)*h >= n-1 each get a verdict and a margin."""
-    g = compute_stats(s).r
-    h, witness = _best_subset_coverage(s)
-    hypothesis_holds = h < s.n
-    binom = math.comb(g, s.alpha) * h
-    return DiracAuditReport(
-        alpha=s.alpha,
-        n=s.n,
-        g=g,
-        h=h,
-        hypothesis_holds=hypothesis_holds,
-        witness_subset=witness,
-        g_ge_h=g >= h,
-        g_margin=g - h,
-        binom_ineq_holds=binom >= s.n - 1,
-        binom_margin=binom - (s.n - 1),
-    )
+    alpha-subset share."""
+    return DiracAuditReport(s.alpha, s.n, compute_stats(s).r, *_best_subset_coverage(s))
 
 
 def _range_error(name: str, interval: str, value: Fraction) -> ValueError:
@@ -221,29 +226,6 @@ def _range_error(name: str, interval: str, value: Fraction) -> ValueError:
         return ValueError(f"{name} must lie in {interval}, got {value}")
     except ValueError:
         return ValueError(f"{name} must lie in {interval}")
-
-
-@dataclass(frozen=True)
-class DyadicProfileParams:
-    """Window parameters for the dyadic profile of the l_d sums.
-
-    gamma is a rational in [0, 1); v a non-negative integer.  The window is
-    [2^v * floor(n^gamma), floor(n / 2^v)] with n^gamma computed as an exact
-    integer root.
-    """
-
-    gamma: Fraction
-    v: int
-
-    def __post_init__(self):
-        from fractions import Fraction
-
-        gamma = Fraction(self.gamma)
-        object.__setattr__(self, "gamma", gamma)
-        if not (0 <= gamma < 1):
-            raise _range_error("gamma", "[0, 1)", gamma)
-        if self.v < 0:
-            raise ValueError(f"v must be >= 0, got {self.v}")
 
 
 @dataclass(frozen=True)
@@ -294,16 +276,24 @@ def integer_power_root(n: int, exponent: Fraction) -> int:
     return low
 
 
-def dyadic_profile(stats: Stats, params: DyadicProfileParams, n: int) -> DyadicWindowReport:
-    """Sum the l_d profile below, inside, and above the dyadic window."""
+def dyadic_profile(stats: Stats, n: int, gamma: Fraction, v: int) -> DyadicWindowReport:
+    """Sum the l_d profile below, inside, and above the dyadic window
+    [2^v * floor(n^gamma), floor(n / 2^v)], for a rational gamma in [0, 1)
+    and an integer v >= 0, with n^gamma an exact integer root."""
+    from fractions import Fraction
+
+    gamma = Fraction(gamma)
+    if not (0 <= gamma < 1):
+        raise _range_error("gamma", "[0, 1)", gamma)
+    if v < 0:
+        raise ValueError(f"v must be >= 0, got {v}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    root = integer_power_root(n, params.gamma)
-    upper = n >> params.v
+    root = integer_power_root(n, gamma)
+    upper = n >> v
     # For v >= n.bit_length(), 2^v > n >= every degree d, so upper is 0 and
     # n + 1 compares with upper and each d as the lower bound does.
-    lower = root << params.v if params.v < n.bit_length() else n + 1
-    empty = lower > upper
+    lower = root << v if v < n.bit_length() else n + 1
     below = inside = above = 0
     for d, count in stats.ld.items():
         if d < lower:
@@ -312,16 +302,7 @@ def dyadic_profile(stats: Stats, params: DyadicProfileParams, n: int) -> DyadicW
             above += count
         else:
             inside += count
-    return DyadicWindowReport(
-        root=root,
-        v=params.v,
-        upper=upper,
-        empty_window=empty,
-        below=below,
-        inside=inside,
-        above=above,
-        total=below + inside + above,
-    )
+    return DyadicWindowReport(root, v, upper, lower > upper, below, inside, above, below + inside + above)
 
 
 BRANCH_COMPLETE_PENCIL = "IsCompletePencil"
@@ -336,44 +317,44 @@ class DichotomyReport:
     simply many vertices.  All supporting data is reported regardless of
     the decisive branch."""
 
-    branch: str
     alpha: int
     n: int
     coverage: int
     witness_subset: tuple[int, ...]
     fraction: Fraction
     vertex_count: int
-    vertex_ratio: Fraction
+
+    @property
+    def branch(self) -> str:
+        # A valid structure with one record is the alpha = 1 pencil; alpha
+        # full records would be equal for alpha > 1.
+        if self.vertex_count == 1:
+            return BRANCH_COMPLETE_PENCIL
+        if self.coverage >= self.fraction * self.n:
+            return BRANCH_LARGE_COVERAGE
+        return BRANCH_MANY_VERTICES
+
+    @property
+    def vertex_ratio(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.vertex_count, self.n)
 
 
-def dichotomy_report(s: IncidenceStructure, fraction) -> DichotomyReport:
+def dichotomy_fraction(fraction) -> Fraction:
+    """fraction as a Fraction, refused with ValueError outside (0, 1]."""
     from fractions import Fraction
 
-    report = validate(s)
-    if not report.valid:
-        raise InvalidStructureError(report)
     fraction = Fraction(fraction)
     if not (0 < fraction <= 1):
         raise _range_error("fraction", "(0, 1]", fraction)
+    return fraction
 
-    coverage, witness = _best_subset_coverage(s)
-    vertex_count = len(s.vertices)
 
-    # A valid structure with one record is the alpha = 1 pencil; alpha full
-    # records would be equal for alpha > 1.
-    if vertex_count == 1:
-        branch = BRANCH_COMPLETE_PENCIL
-    elif coverage >= fraction * s.n:
-        branch = BRANCH_LARGE_COVERAGE
-    else:
-        branch = BRANCH_MANY_VERTICES
-    return DichotomyReport(
-        branch=branch,
-        alpha=s.alpha,
-        n=s.n,
-        coverage=coverage,
-        witness_subset=witness,
-        fraction=fraction,
-        vertex_count=vertex_count,
-        vertex_ratio=Fraction(vertex_count, s.n),
-    )
+def dichotomy_report(s: IncidenceStructure, fraction) -> DichotomyReport:
+    """The dichotomy of a valid structure; the fraction is checked before the subset search."""
+    report = validate(s)
+    if not report.valid:
+        raise InvalidStructureError(report)
+    fraction = dichotomy_fraction(fraction)
+    return DichotomyReport(s.alpha, s.n, *_best_subset_coverage(s), fraction, len(s.vertices))

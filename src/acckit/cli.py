@@ -4,8 +4,7 @@ finite planes, and rendering, wired for shell pipelines.
 Subcommands that read an IN argument accept "-" for standard input.  The
 structure-consuming commands (validate, stats, audit) detect the input
 format from its header, so "acckit gen family --j 1 | acckit stats" works
-directly; audit dirac and dichotomy expand a .wedge, the others read it on
-its rotation quotient.
+directly, and read a .wedge on its rotation quotient, building no record.
 
 Exit codes: 0 when everything requested holds, 1 when a check fails or a
 structure is invalid, 2 for usage or input errors and unwritable output.
@@ -59,16 +58,16 @@ def _read_input(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _census(text: str) -> tuple[int, int, Stats]:
-    """alpha, n and Stats of a valid structure; a .wedge is read on its
-    rotation quotient (ExpandedArrangement.stats), without its records."""
+def _census(text: str) -> tuple[int, int, Stats, ExpandedArrangement | None]:
+    """alpha, n and Stats of a valid structure, and a .wedge's arrangement
+    (None for a .acc), read on its rotation quotient without its records."""
     if formats.sniff_format(text) == "wedge":
         from .wedge import ExpandedArrangement
 
         arrangement = ExpandedArrangement(formats.parse_wedge(text))
-        return 1, arrangement.n, arrangement.stats
+        return 1, arrangement.n, arrangement.stats, arrangement
     s = formats.parse_structure(text)
-    return s.alpha, s.n, compute_stats(s)
+    return s.alpha, s.n, compute_stats(s), None
 
 
 def _emit(out_path: str | None, text: str):
@@ -179,7 +178,7 @@ def _cmd_gen(args) -> tuple[int, str]:
 def _cmd_validate(args) -> tuple[int, str]:
     text = _read_input(args.input)
     if formats.sniff_format(text) == "wedge":
-        _, n, stats = _census(text)
+        _, n, stats, _ = _census(text)
         return EXIT_OK, f"valid alpha=1 n={n} vertices={sum(stats.tk.values())}\n"
     s = formats.parse_structure(text)
     report = validate(s)
@@ -200,7 +199,7 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 
 def _cmd_stats(args) -> tuple[int, str]:
-    alpha, n, stats = _census(_read_input(args.input))
+    alpha, n, stats, _ = _census(_read_input(args.input))
     vertices = sum(stats.tk.values())
     lines = []
     if args.format == "machine":
@@ -250,12 +249,20 @@ def _cmd_audit(args) -> tuple[int, str]:
         from . import audits
 
     text = _read_input(args.input)
-    if args.audit not in ("dirac", "dichotomy"):
-        alpha, n, stats = _census(text)
-    elif formats.sniff_format(text) == "wedge":
-        s = expand(formats.parse_wedge(text)).structure
-    else:
+    if args.audit in ("dirac", "dichotomy") and formats.sniff_format(text) != "wedge":
+        # The subset search reads the records; each report validates them.
         s = formats.parse_structure(text)
+        report = audits.audit_dirac(s) if args.audit == "dirac" else audits.dichotomy_report(s, args.fraction)
+    else:
+        alpha, n, stats, arrangement = _census(text)
+        vertices = sum(stats.tk.values())
+        if args.audit == "dirac":
+            audits.check_subset_budget(vertices, alpha)
+            report = audits.DiracAuditReport(alpha, n, stats.r, *arrangement.largest())
+        elif args.audit == "dichotomy":
+            fraction = audits.dichotomy_fraction(args.fraction)
+            audits.check_subset_budget(vertices, alpha)
+            report = audits.DichotomyReport(alpha, n, *arrangement.largest(), fraction, vertices)
     lines: list[str] = []
     failed = False
 
@@ -278,23 +285,18 @@ def _cmd_audit(args) -> tuple[int, str]:
         failed |= _check(lines, "thm3.part2", report.part2_holds, margin2_text)
 
     elif args.audit == "dirac":
-        report = audits.audit_dirac(s)
+        witness = ",".join(str(i) for i in report.witness_subset)
         if not report.hypothesis_holds:
-            witness = ",".join(str(i) for i in report.witness_subset)
             if not args.quiet:
-                lines.append(
-                    f"NOTICE dirac hypothesis_violated witness={witness} covers all {report.n} curves"
-                )
+                lines.append(f"NOTICE dirac hypothesis_violated witness={witness} covers all {report.n} curves")
         else:
             failed |= _check(lines, "dirac.g_ge_h", report.g_ge_h, f"{report.g_margin}/1")
             failed |= _check(lines, "dirac.binom", report.binom_ineq_holds, f"{report.binom_margin}/1")
             if not args.quiet:
-                witness = ",".join(str(i) for i in report.witness_subset)
                 lines.append(f"NOTE dirac g={report.g} h={report.h} witness={witness}")
 
     elif args.audit == "dyadic":
-        params = audits.DyadicProfileParams(gamma=args.gamma, v=args.v)
-        report = audits.dyadic_profile(stats, params, n)
+        report = audits.dyadic_profile(stats, n, args.gamma, args.v)
         if not args.quiet:
             lines.append(f"NOTE dyadic window {_printable_lower(report)} {report.upper}")
             lines.append(f"NOTE dyadic empty {'true' if report.empty_window else 'false'}")
@@ -305,7 +307,6 @@ def _cmd_audit(args) -> tuple[int, str]:
         failed |= _check(lines, "dyadic.total", report.total == expected, f"{report.total}/{expected}")
 
     elif args.audit == "dichotomy":
-        report = audits.dichotomy_report(s, args.fraction)
         witness = ",".join(str(i) for i in report.witness_subset)
         if not args.quiet:
             lines.append(f"NOTE dichotomy branch {report.branch}")

@@ -195,8 +195,9 @@ class ExpandedArrangement:
 
     The quotient under the rotation by two wedge images (_places) builds no
     record: orbits() lists one record per orbit with the orbit's length and
-    its images' labels, and valid and stats give validate's verdict and
-    compute_stats(structure).  Only structure and vertex_labels build every
+    its images' labels, valid and stats give validate's verdict and
+    compute_stats(structure), and largest the alpha = 1 subset search's
+    result on structure.  Only structure and vertex_labels build every
     record, each as an image of its orbit's record (_images), and neither
     keeps the orbits or the rotation past that.
 
@@ -416,9 +417,26 @@ class ExpandedArrangement:
         each orbit's images (_images) with their labels (orbits).  Any order
         of the images gives the same labels: once the structure passes
         validation no two records are equal, so the sort has no ties."""
-        labels = [label(k) for _, length, label in self.orbits() for k in range(length)]
-        ids = self._images(self.orbits())
+        orbits = self.orbits()
+        labels = [label(k) for _, length, label in orbits for k in range(length)]
+        ids = self._images(orbits)
         return tuple(map(labels.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)))
+
+    def largest(self) -> tuple[int, tuple[int]]:
+        """The alpha = 1 subset search's result: h, the largest k of stats.tk,
+        and the index in structure.vertices of the first record of size h;
+        raises as stats does.  The apex (0, ..., m - 1) sorts first.  Any
+        larger record holds one mirror, its least id (a crossing holds two
+        copies), and the rotation gives mirrors of one parity equal rows:
+        for odd m all of them, and for even m, with B beams, mirror 0's
+        ideal record holds 2B + 2 ids and an odd mirror's records at most
+        2B + 1.  So a record of size h > m first follows the apex on mirror
+        0's row, whose images need not be rising."""
+        h = max(self.stats.tk)
+        if h == self._m:
+            return h, (0,)
+        row = sorted(map(sorted, self._rows(self.orbits())[0]))
+        return h, (next(i for i, record in enumerate(row) if len(record) == h),)
 
     @property
     def paths(self) -> Iterator[CopyPath]:

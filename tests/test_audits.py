@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acckit import (
-    DyadicProfileParams,
     IncidenceStructure,
     InvalidStructureError,
     SizeLimitExceeded,
@@ -273,7 +272,7 @@ def test_integer_power_root_matches_binary_search(root, b, a, shift, perfect):
 def test_dyadic_whole_range():
     s = gen_simple_cyclic(9)
     stats = compute_stats(s)
-    report = dyadic_profile(stats, DyadicProfileParams(gamma=Fraction(0), v=0), 9)
+    report = dyadic_profile(stats, 9, Fraction(0), 0)
     assert (report.lower, report.upper) == (1, 9)
     assert report.inside == math.comb(9, 2)
     assert report.below == report.above == 0
@@ -283,7 +282,7 @@ def test_dyadic_whole_range():
 def test_dyadic_family_window():
     s = expand(family_wedge(1)).structure
     stats = compute_stats(s)
-    report = dyadic_profile(stats, DyadicProfileParams(gamma=Fraction(1, 2), v=1), 25)
+    report = dyadic_profile(stats, 25, Fraction(1, 2), 1)
     assert (report.lower, report.upper) == (10, 12)
     assert report.total == 300
     # Independent check from the naive profile.
@@ -296,24 +295,30 @@ def test_dyadic_family_window():
 def test_dyadic_empty_window():
     s = gen_simple_cyclic(6)
     stats = compute_stats(s)
-    report = dyadic_profile(stats, DyadicProfileParams(gamma=Fraction(1, 2), v=3), 6)
+    report = dyadic_profile(stats, 6, Fraction(1, 2), 3)
     assert report.empty_window
     assert report.inside == 0
     assert report.total == math.comb(6, 2)
 
 
 def test_dyadic_param_validation():
-    with pytest.raises(ValueError):
-        DyadicProfileParams(gamma=Fraction(1), v=0)
-    with pytest.raises(ValueError):
-        DyadicProfileParams(gamma=Fraction(-1, 2), v=0)
-    with pytest.raises(ValueError):
-        DyadicProfileParams(gamma=Fraction(1, 2), v=-1)
+    stats = compute_stats(gen_simple_cyclic(6))
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        dyadic_profile(stats, 6, Fraction(1), 0)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        dyadic_profile(stats, 6, Fraction(-1, 2), 0)
+    with pytest.raises(ValueError, match="v must be"):
+        dyadic_profile(stats, 6, Fraction(1, 2), -1)
+    # The window's parameters are refused ahead of n.
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        dyadic_profile(stats, 1, Fraction(1), 0)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        dyadic_profile(stats, 1, Fraction(1, 2), 0)
 
 
 def params_from_exponents(delta, epsilon, zeta, v):
-    """Window parameters derived from exponent triples (delta, epsilon,
-    zeta): gamma = max(delta/epsilon, zeta)."""
+    """Window parameters (gamma, v) derived from exponent triples (delta,
+    epsilon, zeta): gamma = max(delta/epsilon, zeta)."""
     delta, epsilon, zeta = Fraction(delta), Fraction(epsilon), Fraction(zeta)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -321,14 +326,16 @@ def params_from_exponents(delta, epsilon, zeta, v):
         raise ValueError("need 0 <= delta < epsilon/2")
     if not (0 <= zeta < Fraction(1, 2)):
         raise ValueError("need 0 <= zeta < 1/2")
-    return DyadicProfileParams(gamma=max(delta / epsilon, zeta), v=v)
+    return max(delta / epsilon, zeta), v
 
 
 def test_dyadic_params_from_exponents():
     params = params_from_exponents(Fraction(1, 10), Fraction(1, 2), Fraction(1, 4), 2)
-    assert params == DyadicProfileParams(gamma=Fraction(1, 4), v=2)
+    assert params == (Fraction(1, 4), 2)
     params = params_from_exponents(Fraction(1, 5), Fraction(1, 2), Fraction(1, 4), 0)
-    assert params.gamma == Fraction(2, 5)
+    assert params == (Fraction(2, 5), 0)
+    report = dyadic_profile(compute_stats(gen_simple_cyclic(9)), 9, *params)
+    assert (report.lower, report.upper) == (2, 9)
     with pytest.raises(ValueError):
         params_from_exponents(Fraction(1, 2), Fraction(1, 2), 0, 0)
     with pytest.raises(ValueError):
@@ -443,7 +450,7 @@ def test_dirac_steps_hold_when_hypothesis_does(s):
 )
 def test_dyadic_three_way_split_is_total(s, gamma, v):
     stats = compute_stats(s)
-    report = dyadic_profile(stats, DyadicProfileParams(gamma=gamma, v=v), s.n)
+    report = dyadic_profile(stats, s.n, gamma, v)
     assert report.below + report.inside + report.above == math.comb(s.n, 2)
     if report.empty_window:
         assert report.inside == 0

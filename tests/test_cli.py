@@ -472,6 +472,66 @@ def test_audit_error_precedence(capsys, monkeypatch, text, argv, budget, code, f
     assert fragment in err
 
 
+def test_dichotomy_refuses_its_fraction_before_the_subset_search(capsys, monkeypatch):
+    """An out-of-range --fraction is refused ahead of the search's budget:
+    on a .acc whose search is over it, and on a .wedge, whose alpha = 1
+    scan reads the budget variable too."""
+    n = 150
+    refused = serialize_structure(IncidenceStructure(2, n, gen_pencil(n).vertices + gen_simple_cyclic(n).vertices))
+    zero = (2, "", "error: fraction must lie in (0, 1], got 0\n")
+    assert run_cli(["audit", "dichotomy", "-", "--fraction", "0"], capsys, refused, monkeypatch) == zero
+    wedge = serialize_wedge(family_wedge(1))
+    monkeypatch.setenv("ACCKIT_SUBSET_BUDGET", "x")
+    assert run_cli(["audit", "dichotomy", "-", "--fraction", "0"], capsys, wedge, monkeypatch) == zero
+    malformed = (2, "", "error: ACCKIT_SUBSET_BUDGET must be an integer, got 'x'\n")
+    for argv in (["audit", "dichotomy", "-", "--fraction", "1/2"], ["audit", "dirac", "-"]):
+        assert run_cli(argv, capsys, wedge, monkeypatch) == malformed
+
+
+def test_only_expand_builds_the_records_of_a_wedge(capsys, monkeypatch, tmp_path):
+    """Every command but expand reads a valid .wedge on its rotation
+    quotient, without building a record."""
+    path = tmp_path / "j2.wedge"
+    path.write_text(serialize_wedge(family_wedge(2)))
+    wedge = str(path)
+
+    def refuse(self, orbits):
+        raise AssertionError("records built")
+
+    monkeypatch.setattr(acckit.wedge.ExpandedArrangement, "_images", refuse)
+    commands = (
+        ["validate", wedge],
+        ["stats", wedge],
+        ["audit", "thm3", wedge],
+        ["audit", "dirac", wedge],
+        ["audit", "pairs", wedge],
+        ["audit", "dyadic", wedge, "--gamma", "1/2", "--v", "1"],
+        ["audit", "dichotomy", wedge, "--fraction", "1/2"],
+        ["render", "arrangement", wedge],
+    )
+    for argv in commands:
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+
+
+def test_subset_audits_of_the_family_at_j372_fit_in_256_mib():
+    """At j = 372 (n = 6,703, 5,824,039 records) both audits read the
+    wedge's quotient: building its records ran out of a 256 MiB address
+    space.  Never run this input without the cap."""
+    wedge = serialize_wedge(family_wedge(372))
+    expected = {
+        "dirac": "CHECK dirac.g_ge_h holds 744/1\nCHECK dirac.binom holds 6646150/1\nNOTE dirac g=2978 h=2234 witness=0\n",
+        "dichotomy": (
+            "NOTE dichotomy branch ManyVertices\nNOTE dichotomy coverage 2234/6703\n"
+            "NOTE dichotomy witness 0\nNOTE dichotomy vertices 5824039\n"
+        ),
+    }
+    for audit, out in expected.items():
+        extra = ["--fraction", "1/2"] if audit == "dichotomy" else []
+        result = run_capped(["audit", audit, "-", *extra], wedge, cap=256 << 20)
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, ""), audit
+
+
 def test_stats_audits_report_invalid_structure_first(capsys, monkeypatch):
     """The audits that read stats report an invalid structure (exit 1);
     dyadic reports it ahead of its bad parameters (exit 2).

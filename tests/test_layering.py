@@ -270,8 +270,8 @@ def test_no_assert_statements_in_package():
 # What the CLI, the README and the paper's claims use, and nothing else.
 PUBLIC_NAMES = {
     "Apex", "BeamCopy", "BeamSpec", "Bounce", "BounceEvent", "Crossing", "DichotomyReport",
-    "DiracAuditReport", "Disconnected", "DuplicateLineId", "DuplicateVertex", "DyadicProfileParams",
-    "DyadicWindowReport", "ExpandedArrangement", "ExpansionError", "Ideal", "IncidenceStructure",
+    "DiracAuditReport", "Disconnected", "DuplicateLineId", "DuplicateVertex", "DyadicWindowReport",
+    "ExpandedArrangement", "ExpansionError", "Ideal", "IncidenceStructure",
     "InvalidStructureError", "LineAtInfinity", "Mirror", "NonClosingBeam", "NotPrime",
     "PairMultiplicity", "ParseError", "ProjectivePlane",
     "SelfCrossingBeam", "SizeLimitExceeded", "SmallVertex", "Stats", "TkBoundEntry", "TkBoundsReport",
@@ -286,7 +286,7 @@ PUBLIC_NAMES = {
 REMOVED_NAMES = (
     "wedge_paths", "family_point_order", "per_class_max_degrees", "reference_family_counts",
     "from_exponents", "tk_total_weighted", "curve_degrees", "vertex_degrees", "incident", "canonical",
-    "RenderOptions", "budget_from_env", "audit_pair_identity", "PairIdentityReport",
+    "RenderOptions", "budget_from_env", "audit_pair_identity", "PairIdentityReport", "DyadicProfileParams",
 )
 
 

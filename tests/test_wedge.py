@@ -34,6 +34,7 @@ from acckit import (
     serialize_structure,
     validate,
 )
+from acckit.audits import _best_subset_coverage
 from acckit.cli import dispatch
 from acckit.structure import strictly_rising
 from acckit.wedge import BOTTOM, TOP
@@ -491,6 +492,54 @@ def test_expansion_matches_reference_on_wider_wedges(spec):
 @pytest.mark.parametrize("j", range(1, 9))
 def test_family_expansion_matches_reference(j):
     _compare_with_reference(family_wedge(j))
+
+
+def _assert_largest_is_the_subset_search(spec):
+    """largest() gives the alpha = 1 subset search's h and witness on the
+    built structure of every valid expansion."""
+    try:
+        arrangement = ExpandedArrangement(spec)
+        if not arrangement.valid:
+            return
+    except ExpansionError:
+        return
+    assert arrangement.largest() == _best_subset_coverage(arrangement.structure)
+
+
+# Non-apex witnesses, each mirror 0's ideal record: one beam at m = 2 and
+# two at m = 4, where 2 + 2B ids outnumber the apex's m.
+@settings(derandomize=True, max_examples=150)
+@given(small_wedges())
+@example(beams_wedge(2, "T4"))
+@example(beams_wedge(4, "T2 B2", "T4 B4"))
+def test_largest_matches_the_subset_search(spec):
+    _assert_largest_is_the_subset_search(spec)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(small_wedges(max_m=6, max_beams=3, max_bounces=5))
+@example(beams_wedge(2, "T1", "T2", "T3"))
+@example(beams_wedge(4, "T2 B2", "T3 B3", "T4 B4"))
+def test_largest_matches_the_subset_search_on_wider_wedges(spec):
+    """Up to three beams of up to five bounces, ranks drawn from 1..5 so
+    that beams share bounce points; the examples' witness is mirror 0's
+    ideal record of 8 ids."""
+    _assert_largest_is_the_subset_search(spec)
+
+
+@pytest.mark.parametrize("j", range(1, 17))
+def test_largest_of_the_family_is_the_apex_without_a_row(monkeypatch, j):
+    """Every family member's largest record is the apex, h = m = (n - 1) / 3,
+    which sorts first: largest() builds no row for it."""
+    arrangement = ExpandedArrangement(family_wedge(j))
+    expected = _best_subset_coverage(arrangement.structure)
+    assert expected == ((arrangement.n - 1) // 3, (0,))
+
+    def refuse(self, orbits):
+        raise AssertionError("row built")
+
+    monkeypatch.setattr(ExpandedArrangement, "_rows", refuse)
+    assert arrangement.largest() == expected
 
 
 def test_expand_and_audit_build_no_bounce_or_crossing_labels(capsys, monkeypatch, tmp_path):
